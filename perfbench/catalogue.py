@@ -1,8 +1,8 @@
-"""The benchmark's catalogue: workloads, metrics, units, directions.
+"""The benchmark's catalogue: what the workloads and metrics mean.
 
-``BENCHMARK.json`` at the repository root is generated from this
-module (``python3 perfbench/run.py --write-manifest``) and the
-self-test checks that the two agree.  The catalogue holds what the
+``BENCHMARK.json`` at the repository root is the only source of the
+workload and metric names, why each workload was chosen, and each
+metric's unit, direction and bound.  This module holds the prose the
 manifest has no room for: each workload's seed use, loop type and
 client count, what each end-to-end metric means on each workload,
 and, for each layer metric, the end-to-end metric and workload it
@@ -13,9 +13,6 @@ from __future__ import annotations
 
 WORKLOADS = {
     "compile-suite": {
-        "why": "every program is new, so the frontend dominates; the "
-               "only multi-tile workload; a per-frontend memo must "
-               "show no change here",
         "seed": "draws every round of the stratified stream of 745 "
                 "distinct kernel programs after the fixed reference "
                 "round, and the verification inputs",
@@ -25,9 +22,6 @@ WORKLOADS = {
         "clients": 1,
     },
     "sweep-grid": {
-        "why": "all points of a sweep share one frontend, so the "
-               "backend (allocate, taskgraph, cluster, schedule) "
-               "dominates; where point-invariant memoisation shows",
         "seed": "orders three mid-size kernels of similar cost (FIR, "
                 "convolution, correlation) in every cycle and picks the "
                 "verification inputs",
@@ -37,9 +31,6 @@ WORKLOADS = {
         "clients": 1,
     },
     "service-mixed": {
-        "why": "the only workload crossing HTTP, the queue, the "
-               "worker pool and the store; cold jobs write the store "
-               "and warm jobs read it",
         "seed": "after the fixed reference round (80 jobs per client), "
                 "draws each client's programs, tiles, program reuse (30% "
                 "of cold jobs) and warm repeats (30% of jobs)",
@@ -48,8 +39,6 @@ WORKLOADS = {
         "clients": 2,
     },
     "fleet-sweep": {
-        "why": "the only workload running dse.distributed: leases, "
-               "chunking and merging over two daemons",
         "seed": "orders three mid-size kernels of similar cost (dot, "
                 "IIR, FFT) in every cycle and picks the verification "
                 "inputs",
@@ -60,46 +49,41 @@ WORKLOADS = {
     },
 }
 
-#: name -> (unit, better, bound, meaning on each workload)
-END_TO_END = {
+#: End-to-end metric -> what it means on each workload.
+MEANING = {
     "setup_s": (
-        "s", "lower", 0.25,
-        "median of 5 set-ups: imports, input generation and one "
-        "warm-up mapping in a fresh interpreter (compile-suite, "
-        "sweep-grid); daemon spawn to healthy plus one warm-up job "
-        "(service-mixed, fleet-sweep)"),
+        "median of 9 set-ups, 4 timed before the measured pass and 5 "
+        "after it: imports, input generation and one warm-up mapping "
+        "in a fresh interpreter (compile-suite, sweep-grid); daemon "
+        "spawn to healthy plus one warm-up job (service-mixed, "
+        "fleet-sweep)"),
     "latency_ms_p50": (
-        "ms", "lower", 0.25,
-        "median latency of a cold operation in the run's best segment "
-        "(see workloads.py): one program from source to verified "
-        "mapping (compile-suite, the issue's map_ms_p50); one sweep of "
-        "the grid (sweep-grid, fleet-sweep); one cold job from submit "
-        "to result (service-mixed, job_ms_p50_cold)"),
+        "median latency of every cold operation of the run: one "
+        "program from source to verified mapping (compile-suite, the "
+        "issue's map_ms_p50); one sweep of the grid (sweep-grid, "
+        "fleet-sweep); one cold job from submit to result "
+        "(service-mixed, job_ms_p50_cold)"),
     "latency_ms_p90": (
-        "ms", "lower", 0.25,
-        "90th percentile of the same samples (map_ms_p90, "
-        "job_ms_p90_cold)"),
+        "90th percentile of the same samples, so the run's tail "
+        "counts (map_ms_p90, job_ms_p90_cold)"),
     "throughput_per_s": (
-        "1/s", "higher", 0.25,
-        "in the run's best segment: programs mapped and verified per "
-        "second (compile-suite); "
-        "design points evaluated and verified per second "
-        "(sweep-grid, fleet-sweep: points_per_s); completed jobs per "
-        "second with 2 clients (service-mixed: jobs_per_s)"),
+        "over the whole run: programs mapped and verified per second "
+        "of mapping (compile-suite); design points evaluated and "
+        "verified per second of sweeping (sweep-grid, fleet-sweep: "
+        "points_per_s); completed jobs per second of the run with 2 "
+        "clients (service-mixed: jobs_per_s)"),
     "success_rate": (
-        "ratio", "higher", 0.01,
         "1 - error_rate: operations and cross-checks that succeeded "
         "over those attempted"),
     "mapped_cycles_sum": (
-        "cycles", "lower", 0.01,
         "sum of mapped cycles over the reference round, the same "
         "programs and points for every seed; exact, guards mapping "
-        "quality"),
+        "quality: its bound of 1e-7 makes one more cycle a regression"),
     "mapped_energy_sum": (
-        "energy-units", "lower", 0.01,
-        "sum of the energy proxy over the same results; exact"),
+        "sum of the energy proxy (rounded to 0.1 units per result) over "
+        "the same results; exact, and its bound of 1e-7 makes 0.1 more "
+        "units a regression"),
     "peak_rss_mb": (
-        "MB", "lower", 0.15,
         "peak resident memory of the process doing the mapping: the "
         "benchmark process (compile-suite, sweep-grid) or the largest "
         "daemon process tree (service-mixed, fleet-sweep)"),
@@ -107,124 +91,71 @@ END_TO_END = {
 
 _FRONTEND = "map_ms_p50 (latency_ms_p50) / compile-suite vs sweep-grid"
 _BACKEND = "points_per_s (throughput_per_s) / sweep-grid vs compile-suite"
+_FLEET = "points_per_s / fleet-sweep vs everything else"
+_MULTITILE = "map_ms_p90 / compile-suite vs every other"
+_VERIFY = "every throughput and latency metric / all four"
+_SWEEP = "points_per_s / sweep-grid"
 
-#: name -> (unit, better, what it should move)
-PER_LAYER = {
-    "cdfg.build.calls": ("count", "lower", _FRONTEND),
-    "cdfg.build.self_ms": ("ms", "lower", _FRONTEND),
-    "cdfg.nodes": ("count", "lower", _FRONTEND),
-    "transforms.calls": ("count", "lower", _FRONTEND),
-    "transforms.self_ms": ("ms", "lower",
-                           "map_ms_p50, map_ms_p90 and job_ms_p50_cold "
-                           "/ compile-suite vs sweep-grid"),
-    "transforms.nodes_out": ("count", "lower", _FRONTEND),
-    "transforms.rewrites": ("count", "lower", _FRONTEND),
-    "core.taskgraph.calls": ("count", "lower", _BACKEND),
-    "core.taskgraph.self_ms": ("ms", "lower", _BACKEND),
-    "core.taskgraph.tasks": ("count", "lower", _BACKEND),
-    "core.clustering.calls": ("count", "lower", _BACKEND),
-    "core.clustering.self_ms": ("ms", "lower", _BACKEND),
-    "core.clustering.clusters": ("count", "lower", _BACKEND),
-    "core.scheduling.calls": ("count", "lower", _BACKEND),
-    "core.scheduling.self_ms": ("ms", "lower", _BACKEND),
-    "core.scheduling.inserted_levels": ("count", "lower", _BACKEND),
-    "core.allocation.calls": ("count", "lower", _BACKEND),
-    "core.allocation.self_ms": (
-        "ms", "lower", "points_per_s / sweep-grid and fleet-sweep, "
-        "map_ms_p50 / compile-suite; mapped_cycles_sum guards it; "
-        "warm service-mixed jobs bypass it"),
-    "core.allocation.moves": ("count", "lower", _BACKEND),
-    "core.allocation.stalls": ("count", "lower", _BACKEND),
-    "multitile.calls": ("count", "lower",
-                        "map_ms_p90 / compile-suite vs every other"),
-    "multitile.self_ms": ("ms", "lower",
-                          "map_ms_p90 / compile-suite vs every other"),
-    "multitile.transfers": ("count", "lower",
-                            "map_ms_p90 / compile-suite vs every other"),
-    "verify.calls": ("count", "lower",
-                     "every throughput and latency metric / all four"),
-    "verify.self_ms": ("ms", "lower",
-                       "every throughput and latency metric / all four"),
-    "verify.mismatches": ("count", "lower",
-                          "success_rate / all four"),
-    "eval.metrics.calls": ("count", "lower",
-                           "points_per_s / sweep-grid"),
-    "eval.metrics.self_ms": ("ms", "lower",
-                             "points_per_s / sweep-grid"),
-    "dse.runner.point.calls": ("count", "lower",
-                               "points_per_s / sweep-grid"),
-    "dse.runner.point.self_ms": ("ms", "lower",
-                                 "points_per_s / sweep-grid"),
-    "dse.runner.point_ms_p50": ("ms", "lower",
-                                "points_per_s / sweep-grid"),
-    "dse.runner.frontends": ("count", "higher",
-                             "points_per_s / sweep-grid"),
-    "dse.cache.calls": ("count", "lower", "points_per_s / sweep-grid"),
-    "dse.cache.self_ms": ("ms", "lower", "points_per_s / sweep-grid"),
-    "dse.cache.gets": ("count", "lower", "points_per_s / sweep-grid"),
-    "dse.cache.puts": ("count", "lower", "points_per_s / sweep-grid"),
-    "dse.cache.hit_ratio": ("ratio", "higher",
-                            "points_per_s / sweep-grid"),
-    "dse.distributed.lease_ms_p50": (
-        "ms", "lower", "points_per_s / fleet-sweep vs everything else"),
-    "dse.distributed.lease_ms_p90": (
-        "ms", "lower", "points_per_s / fleet-sweep vs everything else"),
-    "dse.distributed.chunks": (
-        "count", "lower", "points_per_s / fleet-sweep vs everything else"),
-    "dse.distributed.leases": (
-        "count", "lower", "points_per_s / fleet-sweep vs everything else"),
-    "dse.distributed.stolen": (
-        "count", "lower", "points_per_s / fleet-sweep vs everything else"),
-    "dse.distributed.local_records": (
-        "count", "lower", "points_per_s / fleet-sweep vs everything else"),
-    "service.queue.wait_ms_p50": ("ms", "lower",
-                                  "job_ms_p90_cold / service-mixed"),
-    "service.queue.wait_ms_p90": ("ms", "lower",
-                                  "job_ms_p90_cold / service-mixed"),
-    "service.workers.runtime_ms_p50": ("ms", "lower",
-                                       "job_ms_p50_cold / service-mixed"),
-    "service.workers.runtime_ms_p90": ("ms", "lower",
-                                       "job_ms_p50_cold / service-mixed"),
-    "service.workers.frontend_reuse_ratio": (
-        "ratio", "higher", "job_ms_p50_cold / service-mixed"),
-    "service.store.hit_ratio": ("ratio", "higher",
-                                "job_ms_p50_warm / service-mixed"),
-    "service.store.warm_ms_p50": ("ms", "lower",
-                                  "job_ms_p50_warm / service-mixed"),
-    "service.store.warm_ms_p90": ("ms", "lower",
-                                  "job_ms_p90_warm / service-mixed"),
-    "service.http.overhead_ms_p50": ("ms", "lower",
-                                     "job_ms_p50_warm / service-mixed"),
-    "service.http.overhead_ms_p90": ("ms", "lower",
-                                     "job_ms_p50_warm / service-mixed"),
-    "trace.overhead_ratio": ("ratio", "lower",
-                             "none: traced over plain time of the same "
-                             "fixed round, per workload"),
+#: Layer metric -> the end-to-end metric and workload it should move.
+MOVES = {
+    "cdfg.build.calls": _FRONTEND,
+    "cdfg.build.self_ms": _FRONTEND,
+    "cdfg.nodes": _FRONTEND,
+    "transforms.calls": _FRONTEND,
+    "transforms.self_ms": "map_ms_p50, map_ms_p90 and job_ms_p50_cold "
+                          "/ compile-suite vs sweep-grid",
+    "transforms.nodes_out": _FRONTEND,
+    "transforms.rewrites": _FRONTEND,
+    "core.taskgraph.calls": _BACKEND,
+    "core.taskgraph.self_ms": _BACKEND,
+    "core.taskgraph.tasks": _BACKEND,
+    "core.clustering.calls": _BACKEND,
+    "core.clustering.self_ms": _BACKEND,
+    "core.clustering.clusters": _BACKEND,
+    "core.scheduling.calls": _BACKEND,
+    "core.scheduling.self_ms": _BACKEND,
+    "core.scheduling.inserted_levels": _BACKEND,
+    "core.allocation.calls": _BACKEND,
+    "core.allocation.self_ms": "points_per_s / sweep-grid and "
+                               "fleet-sweep, map_ms_p50 / compile-suite; "
+                               "mapped_cycles_sum guards it; warm "
+                               "service-mixed jobs bypass it",
+    "core.allocation.moves": _BACKEND,
+    "core.allocation.stalls": _BACKEND,
+    "multitile.calls": _MULTITILE,
+    "multitile.self_ms": _MULTITILE,
+    "multitile.transfers": _MULTITILE,
+    "verify.calls": _VERIFY,
+    "verify.self_ms": _VERIFY,
+    "verify.mismatches": "success_rate / all four",
+    "eval.metrics.calls": _SWEEP,
+    "eval.metrics.self_ms": _SWEEP,
+    "dse.runner.point.calls": _SWEEP,
+    "dse.runner.point.self_ms": _SWEEP,
+    "dse.runner.point_ms_p50": _SWEEP,
+    "dse.runner.frontends": _SWEEP,
+    "dse.cache.calls": _SWEEP,
+    "dse.cache.self_ms": _SWEEP,
+    "dse.cache.gets": _SWEEP,
+    "dse.cache.puts": _SWEEP,
+    "dse.cache.hit_ratio": _SWEEP,
+    "dse.distributed.lease_ms_p50": _FLEET,
+    "dse.distributed.lease_ms_p90": _FLEET,
+    "dse.distributed.chunks": _FLEET,
+    "dse.distributed.leases": _FLEET,
+    "dse.distributed.stolen": _FLEET,
+    "dse.distributed.local_records": _FLEET,
+    "service.queue.wait_ms_p50": "job_ms_p90_cold / service-mixed",
+    "service.queue.wait_ms_p90": "job_ms_p90_cold / service-mixed",
+    "service.workers.runtime_ms_p50": "job_ms_p50_cold / service-mixed",
+    "service.workers.runtime_ms_p90": "job_ms_p50_cold / service-mixed",
+    "service.workers.frontend_reuse_ratio": "job_ms_p50_cold / "
+                                            "service-mixed",
+    "service.store.hit_ratio": "job_ms_p50_warm / service-mixed",
+    "service.store.warm_ms_p50": "job_ms_p50_warm / service-mixed",
+    "service.store.warm_ms_p90": "job_ms_p90_warm / service-mixed",
+    "service.http.overhead_ms_p50": "job_ms_p50_warm / service-mixed",
+    "service.http.overhead_ms_p90": "job_ms_p50_warm / service-mixed",
+    "trace.overhead_ratio": "none: traced over plain time of the same "
+                            "fixed round, per workload",
 }
-
-def exact(name: str) -> bool:
-    """Whether layer metric *name* is a count or a ratio of counts,
-    which must repeat exactly for one seed."""
-    return PER_LAYER[name][0] in ("count", "ratio") \
-        and name != "trace.overhead_ratio"
-
-
-#: How long one benchmark run measures (seconds).
-RUN_SECONDS = 25
-
-
-def manifest() -> dict:
-    """The ``BENCHMARK.json`` document."""
-    return {
-        "command": ["python3", "perfbench/run.py"],
-        "paths": ["perfbench"],
-        "run_seconds": RUN_SECONDS,
-        "workloads": [{"name": name, "why": entry["why"]}
-                      for name, entry in WORKLOADS.items()],
-        "end_to_end": [{"name": name, "unit": unit, "better": better,
-                        "bound": bound}
-                       for name, (unit, better, bound, _)
-                       in END_TO_END.items()],
-        "per_layer": [{"name": name, "unit": unit, "better": better}
-                      for name, (unit, better, _) in PER_LAYER.items()],
-    }

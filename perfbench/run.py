@@ -17,10 +17,11 @@ code is 1 when any mapping, verification or cross-check failed.
 
 ``--tiny`` runs a handful of programs, points and jobs (the self-test
 uses it).  A traced run writes its spans, one JSON object per line, to
-``.perfbench_out/spans-<workload>-<seed>.ndjson``.
-``--write-manifest`` regenerates ``BENCHMARK.json`` from
-:mod:`catalogue`.  Every run works in a fresh directory under
-``.perfbench_work/`` and removes it, daemons included, when it ends.
+``.perfbench_out/spans-<workload>-<seed>.ndjson``.  Workload and
+metric names, units and the run length come from ``BENCHMARK.json``;
+:mod:`catalogue` says what they mean.  Every run works in a fresh
+directory under ``.perfbench_work/`` and removes it, daemons
+included, when it ends.
 """
 
 from __future__ import annotations
@@ -49,10 +50,20 @@ SRC = ROOT / "src"
 #: Where traced runs leave their span logs.
 OUT = ROOT / ".perfbench_out"
 
-import catalogue  # noqa: E402
+#: The benchmark's manifest: workloads, metrics, units, bounds.
+MANIFEST = json.loads((ROOT / "BENCHMARK.json").read_text())
+UNITS = {metric["name"]: metric["unit"] for metric
+         in MANIFEST["end_to_end"] + MANIFEST["per_layer"]}
 
 #: Set-ups timed per run; ``setup_s`` is their median.
-SETUP_SAMPLES = 5
+SETUP_SAMPLES = 9
+
+
+def exact(name: str) -> bool:
+    """Whether layer metric *name* is a count or a ratio of counts,
+    which must repeat exactly for one seed."""
+    return UNITS[name] in ("count", "ratio") \
+        and name != "trace.overhead_ratio"
 
 
 def _terminate(signum, frame):
@@ -81,31 +92,24 @@ def _probe_setup(args, workdir: pathlib.Path) -> float:
     return time.perf_counter() - _STARTED
 
 
-def _timed_setups(args, workload, stack, workdir: pathlib.Path):
-    """``(samples, context)``: set up :data:`SETUP_SAMPLES` times and
-    keep the last context for the measured pass.  In-process workloads
-    time their set-up in a fresh interpreter, so imports count."""
-    samples = []
-    for index in range(SETUP_SAMPLES):
-        if workload.in_process:
-            probe = subprocess.run(
-                [sys.executable, str(HERE / "run.py"), "--probe-setup",
-                 "--workload", args.workload, "--seed", str(args.seed)]
-                + (["--tiny"] if args.tiny else []),
-                cwd=ROOT, capture_output=True, text=True, timeout=120,
-                check=True)
-            samples.append(float(probe.stdout.split()[-1]))
-            continue
-        if index:
-            context.close()
-        context = _context(stack, workdir / f"setup-{index}")
-        begin = time.perf_counter()
-        workload.setup(context)
-        samples.append(time.perf_counter() - begin)
+def _timed_setup(args, workload, stack, workdir: pathlib.Path) -> float:
+    """Seconds one set-up takes; its daemons are stopped afterwards.
+    In-process workloads set up in a fresh interpreter, so imports
+    count."""
     if workload.in_process:
-        context = _context(stack, workdir / "run")
-        workload.setup(context)
-    return samples, context
+        probe = subprocess.run(
+            [sys.executable, str(HERE / "run.py"), "--probe-setup",
+             "--workload", args.workload, "--seed", str(args.seed)]
+            + (["--tiny"] if args.tiny else []),
+            cwd=ROOT, capture_output=True, text=True, timeout=120,
+            check=True)
+        return float(probe.stdout.split()[-1])
+    context = _context(stack, workdir)
+    begin = time.perf_counter()
+    workload.setup(context)
+    seconds = time.perf_counter() - begin
+    context.close()
+    return seconds
 
 
 # ---------------------------------------------------------------------------
@@ -113,23 +117,30 @@ def _timed_setups(args, workload, stack, workdir: pathlib.Path):
 # ---------------------------------------------------------------------------
 
 def plain_run(args, stack, workdir: pathlib.Path):
-    from workloads import WORKLOADS
+    from workloads import WORKLOADS, p50, p90
     workload = WORKLOADS[args.workload](args.seed, args.tiny)
-    setups, context = _timed_setups(args, workload, stack, workdir)
+    # Half the set-ups are timed before the measured pass and half
+    # after it, so that one slow spell of the machine does not move
+    # them all.
+    setups = [_timed_setup(args, workload, stack, workdir / f"setup-{index}")
+              for index in range(SETUP_SAMPLES // 2)]
+    context = _context(stack, workdir / "run")
+    workload.setup(context)
     result = workload.run(context, time.perf_counter() + args.seconds)
     workload.check(context, result)
     context.close()
+    setups += [_timed_setup(args, workload, stack, workdir / f"setup-{index}")
+               for index in range(SETUP_SAMPLES // 2, SETUP_SAMPLES)]
     who = (resource.RUSAGE_SELF if workload.in_process
            else resource.RUSAGE_CHILDREN)
     cycles, energy = result.quality_sums()
     ops = max(result.attempted, 1)
-    best = result.best()
-    samples = f"{result.samples()} in {len(result.segments())} segments"
+    latencies = len(result.latency_ms)
     values = {
         "setup_s": (statistics.median(setups), len(setups)),
-        "latency_ms_p50": (best["latency_ms_p50"], samples),
-        "latency_ms_p90": (best["latency_ms_p90"], samples),
-        "throughput_per_s": (best["throughput_per_s"], samples),
+        "latency_ms_p50": (p50(result.latency_ms), latencies),
+        "latency_ms_p90": (p90(result.latency_ms), latencies),
+        "throughput_per_s": (result.units / result.elapsed, result.units),
         "success_rate": (1 - result.failed / ops, ops),
         "mapped_cycles_sum": (cycles, len(result.quality)),
         "mapped_energy_sum": (energy, len(result.quality)),
@@ -175,11 +186,11 @@ def traced_run(args, stack, workdir: pathlib.Path):
         for index, recorder in enumerate(recorders):
             recorder.write(handle, index)
     values = {}
-    for name in catalogue.PER_LAYER:
+    for name in (metric["name"] for metric in MANIFEST["per_layer"]):
         if name == "trace.overhead_ratio":
             continue
         first = layer_sets[0][name]
-        if catalogue.exact(name):
+        if exact(name):
             total.attempted += 1
             if any(layers[name][0] != first[0]
                    for layers in layer_sets[1:]):
@@ -200,29 +211,21 @@ def traced_run(args, stack, workdir: pathlib.Path):
 
 def _parse(argv):
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("--workload", choices=list(catalogue.WORKLOADS))
+    parser.add_argument("--workload", required=True, choices=[
+        workload["name"] for workload in MANIFEST["workloads"]])
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--seconds", type=float,
-                        default=catalogue.RUN_SECONDS)
+                        default=MANIFEST["run_seconds"])
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     parser.add_argument("--tiny", action="store_true",
                         help="a handful of programs, points and jobs")
     parser.add_argument("--probe-setup", action="store_true",
                         help=argparse.SUPPRESS)
-    parser.add_argument("--write-manifest", action="store_true",
-                        help="regenerate BENCHMARK.json")
-    args = parser.parse_args(argv)
-    if not args.write_manifest and args.workload is None:
-        parser.error("--workload is required")
-    return args
+    return parser.parse_args(argv)
 
 
 def main(argv=None) -> int:
     args = _parse(argv)
-    if args.write_manifest:
-        (ROOT / "BENCHMARK.json").write_text(
-            json.dumps(catalogue.manifest(), indent=2) + "\n")
-        return 0
     if not (SRC / "repro").is_dir():
         print(f"perfbench: no program sources at {SRC}", file=sys.stderr)
         return 2
@@ -247,11 +250,9 @@ def main(argv=None) -> int:
             base.rmdir()
         except OSError:
             pass  # another run still owns a directory there
-    units = {name: entry[0] for name, entry in
-             {**catalogue.END_TO_END, **catalogue.PER_LAYER}.items()}
     print(f"{args.workload} seed={args.seed} trace={args.trace}")
     for name, (value, samples) in values.items():
-        print(f"  {name:40s} {value:>14.6g} {units[name]:12s} "
+        print(f"  {name:40s} {value:>14.6g} {UNITS[name]:12s} "
               f"(n={samples})")
     for error in result.errors:
         print(f"  error: {error}")
@@ -260,7 +261,7 @@ def main(argv=None) -> int:
         "correct": correct,
         "attempted": max(result.attempted, 1),
         "failed": result.failed,
-        "metrics": {name: {"value": value, "unit": units[name]}
+        "metrics": {name: {"value": value, "unit": UNITS[name]}
                     for name, (value, _) in values.items()},
     }))
     return 0 if correct else 1

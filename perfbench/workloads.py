@@ -6,13 +6,11 @@ reference round (see :mod:`inputs`) is done; without one it runs the
 reference round only.  Quality sums and layer counts are taken over
 the reference round, so they repeat exactly.
 
-A pass records its operations in *blocks*: whole rounds
-(compile-suite), whole cycles over the kernels (sweep-grid,
-fleet-sweep) or one-second intervals (service-mixed).  The reported
-latencies and throughput come from the best of :data:`SEGMENTS`
-contiguous groups of blocks: on a shared two-core VM the CPU speed
-drifts by up to 1.6x over seconds to minutes while a run lasts, and
-the least disturbed segment of a run repeats best.
+A pass records the latency of every cold operation (one program,
+one sweep, one cold job) and the units (programs, points, jobs) it
+completed in the time its operations took.  Latency percentiles and
+throughput are taken over the whole pass, so a slow tail anywhere in
+the run counts.
 
 Each workload owns its daemons and directories through a
 :class:`Context`; :meth:`Context.close` stops and reaps the daemons,
@@ -35,7 +33,9 @@ from repro.arch.templates import TemplateLibrary
 from repro.arch.tilearray import TileArrayParams
 from repro.core import pipeline
 from repro.dse import runner
-from repro.eval import metrics as eval_metrics
+# Bound at import, so the traced run's wrap of mapping_metrics does
+# not count compile-suite's own read of the quality pair.
+from repro.eval.metrics import mapping_metrics
 from repro.service.client import ServiceClient
 from repro.service.subproc import DaemonProcess
 
@@ -54,8 +54,6 @@ SERVICE_ROUND = 80
 CHECK_EVERY = 8
 #: Seconds a client waits on one job before it counts as timed out.
 JOB_TIMEOUT = 60.0
-#: Groups of blocks a pass is split into; the best group is reported.
-SEGMENTS = 10
 
 
 def p50(values) -> float:
@@ -70,15 +68,6 @@ def p90(values) -> float:
 
 
 @dataclass
-class Block:
-    """Operations of one round, cycle or interval."""
-
-    latency_ms: list = field(default_factory=list)
-    units: int = 0
-    seconds: float = 0.0
-
-
-@dataclass
 class Pass:
     """What one pass measured and checked."""
 
@@ -86,7 +75,7 @@ class Pass:
     failed: int = 0              #: failed, refused, missing, mismatched
     units: int = 0               #: programs, points or jobs completed
     elapsed: float = 0.0         #: seconds spent in operations
-    blocks: list = field(default_factory=list)
+    latency_ms: list = field(default_factory=list)   #: cold operations
     warm_ms: list = field(default_factory=list)      #: warm jobs
     overhead_ms: list = field(default_factory=list)  #: HTTP overhead
     quality: list = field(default_factory=list)      #: (cycles, energy)
@@ -99,33 +88,6 @@ class Pass:
         self.failed += 1
         if len(self.errors) < 5:
             self.errors.append(message)
-
-    def samples(self) -> int:
-        return sum(len(block.latency_ms) for block in self.blocks)
-
-    def segments(self) -> list[Block]:
-        """The blocks merged into :data:`SEGMENTS` contiguous groups."""
-        count = min(SEGMENTS, len(self.blocks))
-        groups = []
-        for index in range(count):
-            part = self.blocks[index * len(self.blocks) // count:
-                               (index + 1) * len(self.blocks) // count]
-            groups.append(Block(
-                [value for block in part for value in block.latency_ms],
-                sum(block.units for block in part),
-                sum(block.seconds for block in part)))
-        return groups
-
-    def best(self) -> dict:
-        """Best-segment p50, p90 and throughput."""
-        segments = self.segments()
-        timed = [segment for segment in segments if segment.latency_ms]
-        return {
-            "latency_ms_p50": min(p50(s.latency_ms) for s in timed),
-            "latency_ms_p90": min(p90(s.latency_ms) for s in timed),
-            "throughput_per_s": max(s.units / s.seconds for s in segments
-                                    if s.seconds > 0),
-        }
 
     def quality_sums(self) -> tuple[int, float]:
         return (sum(cycles for cycles, _ in self.quality),
@@ -184,16 +146,13 @@ class CompileSuite:
 
     def run(self, ctx: Context, deadline: float | None,
             recorder=None) -> Pass:
-        """Whole rounds of the stream, one block per round."""
+        """Whole rounds of the stream."""
         result = Pass()
         seen: dict[int, tuple] = {}
         for index in itertools.count():
-            if index % self.round == 0:
-                if index and (deadline is None
-                              or time.perf_counter() >= deadline):
-                    break
-                result.blocks.append(Block())
-                round_started = time.perf_counter()
+            if index % self.round == 0 and index and (
+                    deadline is None or time.perf_counter() >= deadline):
+                break
             position = index % len(self.stream)
             source = inputs.source(*self.stream[position])
             if recorder is not None:
@@ -205,20 +164,19 @@ class CompileSuite:
                 pipeline.verify_mapping(report, pipeline.random_input_state(
                     report, self.seed + position))
             except Exception as error:  # noqa: BLE001 — counted
+                result.elapsed += time.perf_counter() - begin
                 result.fail(f"program {position}: {error!r}")
                 continue
-            block = result.blocks[-1]
-            block.latency_ms.append(1000 * (time.perf_counter() - begin))
-            pair = _metric_pair(eval_metrics.mapping_metrics(report))
+            seconds = time.perf_counter() - begin
+            result.elapsed += seconds
+            result.latency_ms.append(1000 * seconds)
+            pair = _metric_pair(mapping_metrics(report))
             if seen.setdefault(position, pair) != pair:
                 result.fail(f"program {position} mapped differently "
                             f"on its repeat")
             if index < self.round:
                 result.quality.append(pair)
             result.units += 1
-            block.units += 1
-            block.seconds = time.perf_counter() - round_started
-        result.elapsed = sum(block.seconds for block in result.blocks)
         return result
 
     def check(self, ctx: Context, result: Pass) -> None:
@@ -265,9 +223,9 @@ class SweepGrid:
 
     def run(self, ctx: Context, deadline: float | None,
             recorder=None) -> Pass:
-        """Whole cycles over the kernels, in seeded order, one block
-        per cycle.  A sweep's time includes removing its cache; a new
-        fleet between cycles (:meth:`next_cycle`) is not timed."""
+        """Whole cycles over the kernels, in seeded order.  A sweep's
+        time includes removing its cache; a new fleet between cycles
+        (:meth:`next_cycle`) is not timed."""
         result = Pass()
         for cycle in itertools.count():
             if cycle and (deadline is None
@@ -275,8 +233,6 @@ class SweepGrid:
                 break
             if cycle:
                 self.next_cycle(ctx)
-            block = Block()
-            result.blocks.append(block)
             for name, source in self.order.sample(self.kernels,
                                                   len(self.kernels)):
                 if recorder is not None:
@@ -290,15 +246,13 @@ class SweepGrid:
                     result.fail(f"sweep {name}: {error!r}")
                     continue
                 seconds = time.perf_counter() - begin
-                block.seconds += seconds
-                block.latency_ms.append(1000 * seconds)
-                block.units += self.account(result, name, sweep,
-                                            first=cycle == 0)
-        result.elapsed = sum(block.seconds for block in result.blocks)
+                result.elapsed += seconds
+                result.latency_ms.append(1000 * seconds)
+                self.account(result, name, sweep, first=cycle == 0)
         return result
 
-    def account(self, result: Pass, name: str, sweep, first: bool) -> int:
-        """Check one sweep's records; returns the verified points."""
+    def account(self, result: Pass, name: str, sweep, first: bool) -> None:
+        """Check one sweep's records and count the verified points."""
         for record in sweep.records:
             if not (record.get("ok") and record.get("verified")):
                 result.fail(f"{name}: {record.get('error', 'unverified')}")
@@ -312,7 +266,6 @@ class SweepGrid:
         if first:
             result.quality.extend(_metric_pair(record["metrics"])
                                   for record in verified)
-        return len(verified)
 
     def check(self, ctx: Context, result: Pass) -> None:
         """Every record was verified inside the pass."""
@@ -350,8 +303,8 @@ class FleetSweep(SweepGrid):
                                 verify_seed=self.seed,
                                 remotes=self.remotes)
 
-    def account(self, result: Pass, name: str, sweep, first: bool) -> int:
-        verified = super().account(result, name, sweep, first)
+    def account(self, result: Pass, name: str, sweep, first: bool) -> None:
+        super().account(result, name, sweep, first)
         if first:
             for field_name in self.LEDGER:
                 result.fleet[field_name] = (
@@ -359,7 +312,6 @@ class FleetSweep(SweepGrid):
                     + getattr(sweep.stats, field_name))
             result.fleet.setdefault("swept", []).append(
                 (name, sweep.records))
-        return verified
 
     def check(self, ctx: Context, result: Pass) -> None:
         """Re-run one seeded reference-cycle sweep in-process; its
@@ -389,7 +341,6 @@ class Job:
     request: dict
     origin: int | None = None    #: cold job index a warm job repeats
     latency_ms: float = 0.0
-    finished: float = 0.0
     view: dict | None = None
 
 
@@ -418,7 +369,8 @@ class ServiceMixed:
         reference = random.Random(inputs.REFERENCE_SEED * 1000 + client)
         seeded = random.Random(self.seed * 1000 + client)
         programs = itertools.cycle(self.programs[client])
-        recent: list[tuple] = []     # (program, tiles used) of late
+        used: dict[tuple, set] = {}  # tiles each program was sent with
+        recent: list[tuple] = []     # programs of late, open to reuse
         cold: list[Job] = []
         for index in itertools.count():
             rng = reference if index < self.round else seeded
@@ -427,17 +379,22 @@ class ServiceMixed:
                 yield Job(client, index, True, origin.request,
                           origin=origin.index)
                 continue
-            reusable = [entry for entry in recent
-                        if len(entry[1]) < len(inputs.SERVICE_TILES)]
+            reusable = [program for program in recent
+                        if len(used[program]) < len(inputs.SERVICE_TILES)]
             if reusable and rng.random() < REUSE_SHARE:
-                program, used = rng.choice(reusable)
+                program = rng.choice(reusable)
             else:
-                program, used = next(programs), set()
-                recent = (recent + [(program, used)])[-6:]
+                # A program met again after the stream wraps keeps its
+                # used tiles, so no (program, tile) pair is cold twice.
+                program = next(programs)
+                while len(used.setdefault(program, set())) \
+                        == len(inputs.SERVICE_TILES):
+                    program = next(programs)
+                recent = (recent + [program])[-6:]
             position = rng.choice([position for position
                                    in range(len(inputs.SERVICE_TILES))
-                                   if position not in used])
-            used.add(position)
+                                   if position not in used[program]])
+            used[program].add(position)
             request = {"kind": "map", "source": inputs.source(*program),
                        "verify_seed": self.seed,
                        **inputs.SERVICE_TILES[position]}
@@ -466,21 +423,23 @@ class ServiceMixed:
                     result.attempted += 1
                     result.fail(f"job {client}-{job.index}: {error!r}")
                 continue
-            job.finished = time.perf_counter()
-            job.latency_ms = 1000 * (job.finished - begin)
+            job.latency_ms = 1000 * (time.perf_counter() - begin)
             job.view = view
             with result.lock:
                 result.attempted += 1
-                if view["state"] == "done" and \
-                        view["result"].get("verified") is True:
-                    done.append(job)
-                else:
+                if view["state"] != "done" or \
+                        view["result"].get("verified") is not True:
                     result.fail(f"job {client}-{job.index}: "
                                 f"{view.get('error', 'unverified')}")
+                elif not job.warm and view["meta"].get("cache") != "miss":
+                    result.fail(f"cold job {client}-{job.index} was "
+                                f"answered from the store")
+                else:
+                    done.append(job)
 
     def run(self, ctx: Context, deadline: float | None,
             recorder=None) -> Pass:
-        """Two closed-loop clients; one block per second of the run."""
+        """Two closed-loop clients until the deadline."""
         result = Pass()
         done: list[Job] = []
         started = time.perf_counter()
@@ -495,21 +454,15 @@ class ServiceMixed:
         result.elapsed = time.perf_counter() - started
         done.sort(key=lambda job: (job.client, job.index))
         result.units = len(done)
-        result.blocks = [Block(seconds=1.0)
-                         for _ in range(max(1, int(result.elapsed)))]
-        result.blocks[-1].seconds = result.elapsed - len(result.blocks) + 1
         for job in done:
-            block = result.blocks[min(int(job.finished - started),
-                                      len(result.blocks) - 1)]
-            block.units += 1
-            if not job.warm:
-                block.latency_ms.append(job.latency_ms)
             view = job.view
             result.overhead_ms.append(job.latency_ms - 1000 * (
                 view["waited"] + (view["runtime"] or 0.0)))
             if job.warm:
                 result.warm_ms.append(job.latency_ms)
-            elif job.index < self.round:
+                continue
+            result.latency_ms.append(job.latency_ms)
+            if job.index < self.round:
                 result.quality.append(
                     _metric_pair(view["result"]["metrics"]))
         self.done = done
