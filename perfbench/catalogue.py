@@ -35,7 +35,9 @@ WORKLOADS = {
                 "draws each client's programs, tiles, program reuse (30% "
                 "of cold jobs) and warm repeats (30% of jobs)",
         "loop": "closed loop, 2 client threads against one "
-                "process-mode daemon with 2 workers",
+                "process-mode daemon with 2 workers; every half second "
+                "both wait, with no job in flight, while the host's "
+                "speed is sampled",
         "clients": 2,
     },
     "fleet-sweep": {
@@ -56,7 +58,8 @@ MEANING = {
         "after it: imports, input generation and one warm-up mapping "
         "in a fresh interpreter (compile-suite, sweep-grid); daemon "
         "spawn to healthy plus one warm-up job (service-mixed, "
-        "fleet-sweep)"),
+        "fleet-sweep); scaled to the nominal host on compile-suite "
+        "and sweep-grid, raw on the daemon workloads"),
     "latency_ms_p50": (
         "median latency of every cold operation of the run: one "
         "program from source to verified mapping (compile-suite, the "
@@ -71,7 +74,13 @@ MEANING = {
         "of mapping (compile-suite); design points evaluated and "
         "verified per second of sweeping (sweep-grid, fleet-sweep: "
         "points_per_s); completed jobs per second of the run with 2 "
-        "clients (service-mixed: jobs_per_s)"),
+        "clients (service-mixed: jobs_per_s). Every time of "
+        "latency_ms_* and throughput_per_s is scaled to the nominal "
+        "host, on which hostspeed.reference_loop takes "
+        "hostspeed.NOMINAL_S, by that loop's time sampled between "
+        "operations (with a second loop beside it on the daemon "
+        "workloads, which keep both vCPUs busy); the printed lines "
+        "give the raw value beside each"),
     "success_rate": (
         "1 - error_rate: operations and cross-checks that succeeded "
         "over those attempted"),

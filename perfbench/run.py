@@ -6,7 +6,9 @@ Run from the repository root::
     python3 perfbench/run.py --workload compile-suite --seed 1 \\
         --seconds 10 --trace 0
 
-``--trace 0`` measures the end-to-end metrics with nothing wrapped.
+``--trace 0`` measures the end-to-end metrics with nothing wrapped;
+its times are scaled to a nominal host speed (:mod:`hostspeed`), and
+the lines before the result give the raw time beside each.
 ``--trace 1`` is the separate traced run: it alternates plain and
 traced passes over the workload's reference round and reports the
 per-layer metrics, with self times and the tracing overhead.  The
@@ -92,24 +94,32 @@ def _probe_setup(args, workdir: pathlib.Path) -> float:
     return time.perf_counter() - _STARTED
 
 
-def _timed_setup(args, workload, stack, workdir: pathlib.Path) -> float:
-    """Seconds one set-up takes; its daemons are stopped afterwards.
-    In-process workloads set up in a fresh interpreter, so imports
-    count."""
-    if workload.in_process:
-        probe = subprocess.run(
-            [sys.executable, str(HERE / "run.py"), "--probe-setup",
-             "--workload", args.workload, "--seed", str(args.seed)]
-            + (["--tiny"] if args.tiny else []),
-            cwd=ROOT, capture_output=True, text=True, timeout=120,
-            check=True)
-        return float(probe.stdout.split()[-1])
-    context = _context(stack, workdir)
+def _timed_setup(args, workload, stack, workdir: pathlib.Path,
+                 meter) -> tuple[float, float]:
+    """Seconds one set-up takes, scaled and raw.  In-process
+    workloads set up in a fresh interpreter, so imports count, and
+    are scaled by host-speed samples taken just before and after it.
+    Daemon set-ups are raw, their daemons stopped afterwards: a
+    sample taken beside one would need its own helper process."""
+    if not workload.in_process:
+        context = _context(stack, workdir)
+        begin = time.perf_counter()
+        workload.setup(context)
+        seconds = time.perf_counter() - begin
+        context.close()
+        return seconds, seconds
+    meter.sample()
     begin = time.perf_counter()
-    workload.setup(context)
-    seconds = time.perf_counter() - begin
-    context.close()
-    return seconds
+    probe = subprocess.run(
+        [sys.executable, str(HERE / "run.py"), "--probe-setup",
+         "--workload", args.workload, "--seed", str(args.seed)]
+        + (["--tiny"] if args.tiny else []),
+        cwd=ROOT, capture_output=True, text=True, timeout=120,
+        check=True)
+    end = time.perf_counter()
+    meter.sample()
+    seconds = float(probe.stdout.split()[-1])
+    return seconds * meter.scaled(begin, end) / (end - begin), seconds
 
 
 # ---------------------------------------------------------------------------
@@ -117,34 +127,46 @@ def _timed_setup(args, workload, stack, workdir: pathlib.Path) -> float:
 # ---------------------------------------------------------------------------
 
 def plain_run(args, stack, workdir: pathlib.Path):
+    from hostspeed import Speedometer
     from workloads import WORKLOADS, p50, p90
     workload = WORKLOADS[args.workload](args.seed, args.tiny)
+    meter = Speedometer()
     # Half the set-ups are timed before the measured pass and half
     # after it, so that one slow spell of the machine does not move
     # them all.
-    setups = [_timed_setup(args, workload, stack, workdir / f"setup-{index}")
+    setups = [_timed_setup(args, workload, stack,
+                           workdir / f"setup-{index}", meter)
               for index in range(SETUP_SAMPLES // 2)]
     context = _context(stack, workdir / "run")
     workload.setup(context)
     result = workload.run(context, time.perf_counter() + args.seconds)
     workload.check(context, result)
     context.close()
-    setups += [_timed_setup(args, workload, stack, workdir / f"setup-{index}")
+    setups += [_timed_setup(args, workload, stack,
+                            workdir / f"setup-{index}", meter)
                for index in range(SETUP_SAMPLES // 2, SETUP_SAMPLES)]
     who = (resource.RUSAGE_SELF if workload.in_process
            else resource.RUSAGE_CHILDREN)
     cycles, energy = result.quality_sums()
     ops = max(result.attempted, 1)
-    latencies = len(result.latency_ms)
+    raw = [1000 * (end - begin) for begin, end in result.ops]
+    scaled = result.meter.scaled
+    latency = [1000 * scaled(*span) for span in result.ops]
+    elapsed = sum(scaled(*span) for span in result.busy)
+    setup = statistics.median(first for first, _ in setups)
+    raw_setup = statistics.median(last for _, last in setups)
+    # name -> (value, sample count, raw value or None)
     values = {
-        "setup_s": (statistics.median(setups), len(setups)),
-        "latency_ms_p50": (p50(result.latency_ms), latencies),
-        "latency_ms_p90": (p90(result.latency_ms), latencies),
-        "throughput_per_s": (result.units / result.elapsed, result.units),
-        "success_rate": (1 - result.failed / ops, ops),
-        "mapped_cycles_sum": (cycles, len(result.quality)),
-        "mapped_energy_sum": (energy, len(result.quality)),
-        "peak_rss_mb": (resource.getrusage(who).ru_maxrss / 1024, 1),
+        "setup_s": (setup, len(setups),
+                    raw_setup if workload.in_process else None),
+        "latency_ms_p50": (p50(latency), len(latency), p50(raw)),
+        "latency_ms_p90": (p90(latency), len(latency), p90(raw)),
+        "throughput_per_s": (result.units / elapsed, result.units,
+                             result.units / result.elapsed),
+        "success_rate": (1 - result.failed / ops, ops, None),
+        "mapped_cycles_sum": (cycles, len(result.quality), None),
+        "mapped_energy_sum": (energy, len(result.quality), None),
+        "peak_rss_mb": (resource.getrusage(who).ru_maxrss / 1024, 1, None),
     }
     return result, values
 
@@ -251,9 +273,10 @@ def main(argv=None) -> int:
         except OSError:
             pass  # another run still owns a directory there
     print(f"{args.workload} seed={args.seed} trace={args.trace}")
-    for name, (value, samples) in values.items():
+    for name, (value, samples, *raw) in values.items():
+        note = f", raw {raw[0]:.6g}" if raw and raw[0] is not None else ""
         print(f"  {name:40s} {value:>14.6g} {UNITS[name]:12s} "
-              f"(n={samples})")
+              f"(n={samples}{note})")
     for error in result.errors:
         print(f"  error: {error}")
     correct = result.failed == 0
@@ -262,7 +285,7 @@ def main(argv=None) -> int:
         "attempted": max(result.attempted, 1),
         "failed": result.failed,
         "metrics": {name: {"value": value, "unit": UNITS[name]}
-                    for name, (value, _) in values.items()},
+                    for name, (value, *_) in values.items()},
     }))
     return 0 if correct else 1
 

@@ -6,11 +6,12 @@ reference round (see :mod:`inputs`) is done; without one it runs the
 reference round only.  Quality sums and layer counts are taken over
 the reference round, so they repeat exactly.
 
-A pass records the latency of every cold operation (one program,
-one sweep, one cold job) and the units (programs, points, jobs) it
-completed in the time its operations took.  Latency percentiles and
-throughput are taken over the whole pass, so a slow tail anywhere in
-the run counts.
+A pass records when every cold operation (one program, one sweep,
+one cold job) began and ended, and the units (programs, points, jobs)
+it completed in the time its operations took.  Latency percentiles
+and throughput are taken over the whole pass, so a slow tail anywhere
+in the run counts.  Between operations the pass samples the host's
+speed (:mod:`hostspeed`), and the caller scales the times with it.
 
 Each workload owns its daemons and directories through a
 :class:`Context`; :meth:`Context.close` stops and reaps the daemons,
@@ -19,6 +20,7 @@ and the caller runs it in ``finally``.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import math
 import random
@@ -40,6 +42,7 @@ from repro.service.client import ServiceClient
 from repro.service.subproc import DaemonProcess
 
 import inputs
+from hostspeed import Speedometer
 
 #: The 4-tile mesh every compile-suite program is also mapped onto.
 MESH = TileArrayParams(n_tiles=4, topology="mesh")
@@ -54,6 +57,9 @@ SERVICE_ROUND = 80
 CHECK_EVERY = 8
 #: Seconds a client waits on one job before it counts as timed out.
 JOB_TIMEOUT = 60.0
+#: Seconds between the pauses in which service-mixed samples the
+#: host's speed.
+PAUSE_EVERY = 0.5
 
 
 def p50(values) -> float:
@@ -74,8 +80,9 @@ class Pass:
     attempted: int = 0           #: operations plus cross-checks
     failed: int = 0              #: failed, refused, missing, mismatched
     units: int = 0               #: programs, points or jobs completed
-    elapsed: float = 0.0         #: seconds spent in operations
-    latency_ms: list = field(default_factory=list)   #: cold operations
+    ops: list = field(default_factory=list)   #: (begin, end), cold ops
+    busy: list = field(default_factory=list)  #: (begin, end) of the units
+    meter: Speedometer | None = None          #: host speed during them
     warm_ms: list = field(default_factory=list)      #: warm jobs
     overhead_ms: list = field(default_factory=list)  #: HTTP overhead
     quality: list = field(default_factory=list)      #: (cycles, energy)
@@ -89,6 +96,11 @@ class Pass:
         if len(self.errors) < 5:
             self.errors.append(message)
 
+    @property
+    def elapsed(self) -> float:
+        """Wall-clock seconds the units took."""
+        return sum(end - begin for begin, end in self.busy)
+
     def quality_sums(self) -> tuple[int, float]:
         return (sum(cycles for cycles, _ in self.quality),
                 round(math.fsum(energy for _, energy in self.quality), 3))
@@ -100,6 +112,7 @@ class Context:
     def __init__(self, workdir):
         self.workdir = workdir
         self.daemons: list[DaemonProcess] = []
+        self._meters: list[Speedometer] = []
         self._dirs = itertools.count()
 
     def fresh_dir(self, prefix: str):
@@ -113,12 +126,26 @@ class Context:
         self.daemons.append(daemon)
         return daemon.start()
 
-    def close(self) -> None:
+    def speedometer(self, busy_cpus: int = 1) -> Speedometer:
+        """A new :class:`Speedometer`, whose helpers :meth:`close`
+        stops."""
+        meter = Speedometer(busy_cpus=busy_cpus)
+        self._meters.append(meter)
+        return meter
+
+    def stop_daemons(self) -> None:
         """Stop and reap every daemon (kill when it will not stop)."""
         for daemon in self.daemons:
             daemon.stop()
             daemon.kill()
         self.daemons.clear()
+
+    def close(self) -> None:
+        """Stop and reap every daemon and speedometer helper."""
+        self.stop_daemons()
+        for meter in self._meters:
+            meter.close()
+        self._meters.clear()
 
 
 def _metric_pair(metrics: dict) -> tuple[int, float]:
@@ -147,7 +174,7 @@ class CompileSuite:
     def run(self, ctx: Context, deadline: float | None,
             recorder=None) -> Pass:
         """Whole rounds of the stream."""
-        result = Pass()
+        result = Pass(meter=ctx.speedometer())
         seen: dict[int, tuple] = {}
         for index in itertools.count():
             if index % self.round == 0 and index and (
@@ -157,6 +184,7 @@ class CompileSuite:
             source = inputs.source(*self.stream[position])
             if recorder is not None:
                 recorder.set_op(f"program-{index}")
+            result.meter.tick()
             result.attempted += 1
             begin = time.perf_counter()
             try:
@@ -164,12 +192,12 @@ class CompileSuite:
                 pipeline.verify_mapping(report, pipeline.random_input_state(
                     report, self.seed + position))
             except Exception as error:  # noqa: BLE001 — counted
-                result.elapsed += time.perf_counter() - begin
+                result.busy.append((begin, time.perf_counter()))
                 result.fail(f"program {position}: {error!r}")
                 continue
-            seconds = time.perf_counter() - begin
-            result.elapsed += seconds
-            result.latency_ms.append(1000 * seconds)
+            span = (begin, time.perf_counter())
+            result.busy.append(span)
+            result.ops.append(span)
             pair = _metric_pair(mapping_metrics(report))
             if seen.setdefault(position, pair) != pair:
                 result.fail(f"program {position} mapped differently "
@@ -177,6 +205,7 @@ class CompileSuite:
             if index < self.round:
                 result.quality.append(pair)
             result.units += 1
+        result.meter.sample()
         return result
 
     def check(self, ctx: Context, result: Pass) -> None:
@@ -190,6 +219,7 @@ class CompileSuite:
 class SweepGrid:
     name = "sweep-grid"
     in_process = True
+    busy_cpus = 1
     table = inputs.SWEEP_KERNELS
     dimensions = inputs.SWEEP_GRID
 
@@ -226,7 +256,7 @@ class SweepGrid:
         """Whole cycles over the kernels, in seeded order.  A sweep's
         time includes removing its cache; a new fleet between cycles
         (:meth:`next_cycle`) is not timed."""
-        result = Pass()
+        result = Pass(meter=ctx.speedometer(self.busy_cpus))
         for cycle in itertools.count():
             if cycle and (deadline is None
                           or time.perf_counter() >= deadline):
@@ -237,6 +267,7 @@ class SweepGrid:
                                                   len(self.kernels)):
                 if recorder is not None:
                     recorder.set_op(f"sweep-{cycle}-{name}")
+                result.meter.tick()
                 result.attempted += len(self.points)
                 begin = time.perf_counter()
                 try:
@@ -245,10 +276,11 @@ class SweepGrid:
                     result.failed += len(self.points) - 1
                     result.fail(f"sweep {name}: {error!r}")
                     continue
-                seconds = time.perf_counter() - begin
-                result.elapsed += seconds
-                result.latency_ms.append(1000 * seconds)
+                span = (begin, time.perf_counter())
+                result.busy.append(span)
+                result.ops.append(span)
                 self.account(result, name, sweep, first=cycle == 0)
+        result.meter.sample()
         return result
 
     def account(self, result: Pass, name: str, sweep, first: bool) -> None:
@@ -278,6 +310,7 @@ class SweepGrid:
 class FleetSweep(SweepGrid):
     name = "fleet-sweep"
     in_process = False
+    busy_cpus = 2
     table = inputs.FLEET_KERNELS
     dimensions = inputs.FLEET_GRID
     #: Ledger fields of DistributedSweepStats reported per layer.
@@ -295,7 +328,7 @@ class FleetSweep(SweepGrid):
     def next_cycle(self, ctx: Context) -> None:
         """A fresh fleet with empty stores, so no cycle is served
         from the records of the one before."""
-        ctx.close()
+        ctx.stop_daemons()
         self.setup(ctx)
 
     def sweep(self, ctx: Context, source: str):
@@ -340,8 +373,56 @@ class Job:
     warm: bool
     request: dict
     origin: int | None = None    #: cold job index a warm job repeats
-    latency_ms: float = 0.0
+    span: tuple = (0.0, 0.0)     #: submit to result, perf_counter s
     view: dict | None = None
+
+    @property
+    def latency_ms(self) -> float:
+        return 1000 * (self.span[1] - self.span[0])
+
+
+class Gate:
+    """Lets the main thread pause closed-loop clients between jobs."""
+
+    def __init__(self, clients: int):
+        self._cond = threading.Condition()
+        self._clients = clients
+        self._ended = 0
+        self._in_flight = 0
+        self._paused = False
+
+    def ended(self) -> None:
+        """A client's loop has ended."""
+        with self._cond:
+            self._ended += 1
+            self._cond.notify_all()
+
+    @contextlib.contextmanager
+    def job(self):
+        """Around one job: waits while the clients are paused."""
+        with self._cond:
+            self._cond.wait_for(lambda: not self._paused)
+            self._in_flight += 1
+        try:
+            yield
+        finally:
+            with self._cond:
+                self._in_flight -= 1
+                self._cond.notify_all()
+
+    def sample_until_done(self, meter: Speedometer) -> None:
+        """Until every client has ended, pause them all every
+        :data:`PAUSE_EVERY` seconds, with no job in flight, and
+        sample the host's speed."""
+        with self._cond:
+            while not self._cond.wait_for(
+                    lambda: self._ended == self._clients,
+                    timeout=PAUSE_EVERY):
+                self._paused = True
+                self._cond.wait_for(lambda: not self._in_flight)
+                meter.sample()
+                self._paused = False
+                self._cond.notify_all()
 
 
 class ServiceMixed:
@@ -403,7 +484,14 @@ class ServiceMixed:
             yield job
 
     def _client(self, client: int, deadline, result: Pass, done: list,
-                recorder) -> None:
+                recorder, gate: Gate) -> None:
+        try:
+            self._loop(client, deadline, result, done, recorder, gate)
+        finally:
+            gate.ended()
+
+    def _loop(self, client: int, deadline, result: Pass, done: list,
+              recorder, gate: Gate) -> None:
         service = ServiceClient(*self.daemon.address, timeout=JOB_TIMEOUT)
         for job in self.jobs(client):
             if job.index >= self.round and (
@@ -411,19 +499,21 @@ class ServiceMixed:
                 return
             if recorder is not None:
                 recorder.set_op(f"job-{client}-{job.index}")
-            begin = time.perf_counter()
-            try:
-                view = service.submit(job.request)["job"]
-                while view["state"] not in ("done", "failed"):
-                    if time.perf_counter() > begin + JOB_TIMEOUT:
-                        raise TimeoutError(f"job {view['id']} timed out")
-                    view = service.job(view["id"], wait=10)
-            except Exception as error:  # noqa: BLE001 — counted
-                with result.lock:
-                    result.attempted += 1
-                    result.fail(f"job {client}-{job.index}: {error!r}")
-                continue
-            job.latency_ms = 1000 * (time.perf_counter() - begin)
+            with gate.job():
+                begin = time.perf_counter()
+                try:
+                    view = service.submit(job.request)["job"]
+                    while view["state"] not in ("done", "failed"):
+                        if time.perf_counter() > begin + JOB_TIMEOUT:
+                            raise TimeoutError(
+                                f"job {view['id']} timed out")
+                        view = service.job(view["id"], wait=10)
+                except Exception as error:  # noqa: BLE001 — counted
+                    with result.lock:
+                        result.attempted += 1
+                        result.fail(f"job {client}-{job.index}: {error!r}")
+                    continue
+                job.span = (begin, time.perf_counter())
             job.view = view
             with result.lock:
                 result.attempted += 1
@@ -439,19 +529,25 @@ class ServiceMixed:
 
     def run(self, ctx: Context, deadline: float | None,
             recorder=None) -> Pass:
-        """Two closed-loop clients until the deadline."""
-        result = Pass()
+        """Two closed-loop clients until the deadline; every
+        :data:`PAUSE_EVERY` seconds both wait, with no job in flight,
+        while the host's speed is sampled."""
+        result = Pass(meter=ctx.speedometer(busy_cpus=2))
         done: list[Job] = []
-        started = time.perf_counter()
+        gate = Gate(self.clients)
         threads = [threading.Thread(
             target=self._client,
-            args=(client, deadline, result, done, recorder))
+            args=(client, deadline, result, done, recorder, gate))
             for client in range(self.clients)]
+        result.meter.sample()
+        started = time.perf_counter()
         for thread in threads:
             thread.start()
+        gate.sample_until_done(result.meter)
         for thread in threads:
             thread.join()
-        result.elapsed = time.perf_counter() - started
+        result.busy.append((started, time.perf_counter()))
+        result.meter.sample()
         done.sort(key=lambda job: (job.client, job.index))
         result.units = len(done)
         for job in done:
@@ -461,7 +557,7 @@ class ServiceMixed:
             if job.warm:
                 result.warm_ms.append(job.latency_ms)
                 continue
-            result.latency_ms.append(job.latency_ms)
+            result.ops.append(job.span)
             if job.index < self.round:
                 result.quality.append(
                     _metric_pair(view["result"]["metrics"]))
