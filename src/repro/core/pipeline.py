@@ -16,13 +16,35 @@ The flow is factored into two stages so sweeps can reuse work:
   picklable artifact;
 * the **backend** (:func:`map_frontend`) clusters, schedules and
   allocates one frontend onto one concrete tile (and optionally a
-  tile array).  A 100-point sweep over tile parameters compiles each
-  kernel once and runs 100 backends.
+  tile array).
+
+Most backend stages do not depend on every tile parameter, so each
+:class:`Frontend` memoises them, keyed by exactly what they depend
+on.  Only allocation, the multi-tile stage and the simulator run per
+point; a 100-point sweep over tile parameters compiles each kernel
+once, lowers it once and runs 100 allocations.
+
+=========  ==================================  =======================
+stage      depends on (besides the frontend)   memo key
+=========  ==================================  =======================
+taskgraph  nothing                             ``("taskgraph",)``
+cluster    the template library                ``("cluster", lib)``
+schedule   the library, ALUs per level         ``("schedule", lib, c)``
+reference  the verification seed               ``seed`` (latest only)
+allocate   every tile parameter                not memoised
+multitile  every tile and array parameter      not memoised
+=========  ==================================  =======================
+
+Here ``c = min(n_pps, n_buses)``, the clusters one level can hold.
+The verification reference is the :func:`random_input_state` for a
+seed plus the interpreter's run of the original graph from it; the
+mapped program is still simulated and compared for every point.
 
 ``map_graph``/``map_source`` compose the two and are byte-for-byte
 the original single-call flow.  Every report also carries a per-stage
 wall-time breakdown (``report.timings``) that ``fpfa-map map
---profile`` prints.
+--profile`` prints.  A stage served from the memo did no work: it
+records ``0.0`` and emits no ``pipeline.<stage>`` span.
 
 ``verify_mapping`` closes the loop: the tile program, executed on the
 cycle-level simulator, must leave exactly the values at its output
@@ -45,6 +67,9 @@ Invariants
 * The multi-tile stage is **additive**: it never alters the
   single-tile artifacts, and with ``n_tiles == 1`` it is the
   identity (zero transfers, unchanged metrics).
+* The memo is **invisible**: a report built from a memoised stage is
+  identical to one built from scratch, and no later stage writes to
+  the task graph, cluster graph or schedule it shares.
 """
 
 from __future__ import annotations
@@ -61,7 +86,7 @@ from repro.arch.simulator import simulate
 from repro.arch.templates import TemplateLibrary
 from repro.cdfg.builder import build_main_cdfg
 from repro.cdfg.graph import Graph
-from repro.cdfg.interp import Interpreter
+from repro.cdfg.interp import Interpreter, RunResult
 from repro.cdfg.statespace import StateSpace
 from repro.core.allocation import AllocationStats, allocate
 from repro.core.clustering import ClusterGraph, cluster_tasks
@@ -175,6 +200,13 @@ class Frontend:
     balance) combination and ships it to every worker).  Graphs
     pickle compactly: only the node tables travel; indexes are
     rebuilt on arrival.
+
+    The frontend also memoises the point-invariant backend stages
+    (see the module docstring).  The memo is private and is dropped
+    on pickle, so a shipped frontend is the same size and the same
+    bytes before and after backends ran on it.  Memo writes are
+    deterministic: every value is a pure function of its key, so
+    threads racing on one key can at worst compute it twice.
     """
 
     original: Graph
@@ -187,6 +219,48 @@ class Frontend:
     #: Frontend stage seconds (parse, transforms); copied into every
     #: report built from this frontend.
     timings: dict[str, float] = field(default_factory=dict)
+    _memo: dict = field(default_factory=dict, init=False, repr=False,
+                        compare=False)
+
+    def __getstate__(self) -> dict:
+        return {**self.__dict__, "_memo": {}}
+
+    def _memoised(self, timings: dict[str, float], key: tuple,
+                  compute):
+        """The value of stage ``key[0]`` for *key*, computed once: a
+        miss runs under the stage's span and records its seconds in
+        *timings*; a hit records ``0.0`` and emits no span."""
+        if key in self._memo:
+            timings[key[0]] = 0.0
+            return self._memo[key]
+        with _stage(timings, key[0]):
+            value = compute()
+        return self._memo.setdefault(key, value)
+
+    def _taskgraph(self, timings: dict[str, float]) -> TaskGraph:
+        return self._memoised(
+            timings, ("taskgraph",),
+            lambda: TaskGraph.from_cdfg(self.minimised))
+
+    def verification_reference(self, seed: int
+                               ) -> tuple[StateSpace, RunResult]:
+        """The :func:`random_input_state` for *seed* and the
+        interpreter's run of the original graph from it — everything
+        :func:`verify_mapping` needs that does not depend on the
+        mapped program.
+
+        Only the latest seed's reference is kept: a sweep verifies
+        every point with one seed, and a long-lived frontend (in a
+        daemon's memo) must not grow with every seed it is asked for.
+        """
+        reference = self._memo.get("reference")
+        if reference is None or reference[0] != seed:
+            state = _random_inputs(self._taskgraph({}), seed)
+            interpreter = Interpreter(width=self.width)
+            reference = (seed, state,
+                         interpreter.run(self.original, state))
+            self._memo["reference"] = reference
+        return reference[1], reference[2]
 
 
 def prepare_graph(graph: Graph, *, simplify: bool = True,
@@ -242,6 +316,8 @@ def map_frontend(frontend: Frontend,
                  **alloc_options) -> MappingReport:
     """Run the backend: cluster, schedule and allocate one compiled
     frontend onto one concrete tile (see :class:`MappingReport`).
+    The task graph, cluster graph and schedule come from the
+    frontend's memo and are shared, read-only, between reports.
 
     The frontend must have been compiled for ``params.width`` —
     compile-time constant folding wraps with the width, so a mismatch
@@ -254,16 +330,17 @@ def map_frontend(frontend: Frontend,
             f"frontend was compiled for width={frontend.width}, "
             f"tile has width={params.width}; recompile the frontend")
     timings = dict(frontend.timings)
-    with _stage(timings, "taskgraph"):
-        taskgraph = TaskGraph.from_cdfg(frontend.minimised)
-    with _stage(timings, "cluster"):
-        clustered = cluster_tasks(taskgraph, library)
+    taskgraph = frontend._taskgraph(timings)
+    clustered = frontend._memoised(
+        timings, ("cluster", library),
+        lambda: cluster_tasks(taskgraph, library))
     # Every cluster result is broadcast on one crossbar bus in its
     # execute cycle, so a level can hold at most min(PPs, buses)
     # clusters — with fewer buses than ALUs the scheduler serialises.
     capacity = min(params.n_pps, params.n_buses)
-    with _stage(timings, "schedule"):
-        schedule = schedule_clusters(clustered, n_pps=capacity)
+    schedule = frontend._memoised(
+        timings, ("schedule", library, capacity),
+        lambda: schedule_clusters(clustered, n_pps=capacity))
     with _stage(timings, "allocate"):
         program, alloc_stats = allocate(clustered, schedule, params,
                                         **alloc_options)
@@ -380,22 +457,32 @@ def random_input_state(report: MappingReport,
     """Deterministic random values for every input address *report*'s
     program reads — the canonical seed → verification-input mapping
     shared by the CLI and the DSE runner."""
+    return _random_inputs(report.taskgraph, seed)
+
+
+def _random_inputs(taskgraph: TaskGraph, seed: int) -> StateSpace:
     rng = random.Random(seed)
     state = StateSpace()
-    for address in report.taskgraph.input_addresses():
+    for address in taskgraph.input_addresses():
         state = state.store(address, rng.randint(-99, 99))
     return state
 
 
 def verify_mapping(report: MappingReport,
                    initial_state: StateSpace | None = None,
-                   inputs: dict | None = None) -> StateSpace:
+                   inputs: dict | None = None, *,
+                   expected: RunResult | None = None) -> StateSpace:
     """Check program-vs-interpreter equivalence for one input.
 
     Executes the original CDFG on the reference interpreter and the
     mapped program on the tile simulator, then requires the two final
     statespaces to be observationally equal (and function outputs to
     match).  Returns the simulated final state on success.
+
+    *expected* is the interpreter's run for the same initial state
+    and inputs when the caller already has it
+    (:meth:`Frontend.verification_reference`); the mapped program
+    is still simulated and compared in full.
     """
     initial_state = initial_state or StateSpace()
     merged_initial = initial_state
@@ -405,8 +492,10 @@ def verify_mapping(report: MappingReport,
         # from the same picture so the final states are comparable.
         for name, value in inputs.items():
             merged_initial = merged_initial.store(name, value)
-    interpreter = Interpreter(width=report.params.width)
-    expected = interpreter.run(report.original, merged_initial, inputs)
+    if expected is None:
+        interpreter = Interpreter(width=report.params.width)
+        expected = interpreter.run(report.original, merged_initial,
+                                   inputs)
     simulated = simulate(report.program, merged_initial)
     expected_state = expected.state
     for slot, value in expected.outputs.items():

@@ -13,7 +13,11 @@ tile/array axis) — see :mod:`repro.core.pipeline`.  ``run_sweep``
 compiles each *unique* frontend exactly once in the parent process
 and ships the compact compiled artifact to the workers through the
 pool initializer, so a 100-point sweep over tile parameters parses
-and simplifies the kernel once instead of 100 times.
+and simplifies the kernel once instead of 100 times.  The frontend's
+own memo then runs each point-invariant backend stage once per key
+(:class:`repro.core.pipeline.Frontend`): every point sharing a
+frontend in one process shares its task graph, clusterings,
+schedules and verification reference.
 
 Per-point failures (an infeasible :class:`TileParams` combination, a
 scheduling overflow, a verification mismatch) are captured inside the
@@ -51,7 +55,6 @@ from repro.core.pipeline import (
     Frontend,
     compile_frontend,
     map_frontend,
-    random_input_state,
     verify_mapping,
 )
 from repro.dse.cache import ResultCache, cache_key
@@ -97,7 +100,8 @@ def evaluate_point(source: str, point: DesignPoint,
     point's :func:`frontend_spec`; without one the frontend is
     compiled here.  Either way the record is identical — the flow is
     deterministic — a shared frontend only changes how fast the
-    record is produced.
+    record is produced: its memo serves the task graph, clustering,
+    schedule and verification reference every point of it shares.
 
     *sink*, when given, receives side artifacts that must never leak
     into the record (the record format is the cache's on-disk
@@ -119,8 +123,9 @@ def evaluate_point(source: str, point: DesignPoint,
                 sink["report"] = report
                 sink["timings"] = dict(report.timings)
             if verify_seed is not None:
-                verify_mapping(report,
-                               random_input_state(report, verify_seed))
+                state, expected = frontend.verification_reference(
+                    verify_seed)
+                verify_mapping(report, state, expected=expected)
                 record["verified"] = True
             record["ok"] = True
             record["metrics"] = mapping_metrics(report)

@@ -225,20 +225,16 @@ class MappingService:
         """
         request = normalise_request(raw)
         key = job_key(request)
-        # The store is sqlite+disk: look up BEFORE queueing, in an
-        # executor, so the event loop never blocks on it — and so no
-        # await sits between queue.submit and queue.finish below
-        # (the dispatcher could pop the job in that window and
-        # double-run it).
-        record = None
-        want_verified = request.get("verify_seed") is not None
-        if request["kind"] == "map":
-            loop = asyncio.get_running_loop()
-            record = await loop.run_in_executor(
-                None, lambda: self.store.lookup(
-                    key, want_verified=want_verified))
+        # Admit before any await, so a duplicate can never slip
+        # between the coalescing check and the store lookup: while
+        # this job looks for its record it is in flight (duplicates
+        # join it) but held back from the dispatcher.  A duplicate
+        # that finished before admission wrote the store first
+        # (_run_map admits before finishing), so the lookup sees it.
+        lookup = request["kind"] == "map"
         job, coalesced = self.queue.submit(request, key,
-                                           coalesce_key(request))
+                                           coalesce_key(request),
+                                           hold=lookup)
         self.stats.submits += 1
         if request["kind"] == "sweep-chunk" and not coalesced:
             self._note_chunk_lease(key)
@@ -246,14 +242,26 @@ class MappingService:
             self.stats.coalesced += 1
             await self._notify()
             return job, True
-        if record is not None:
-            self.stats.store_hits += 1
-            payload = record_to_map_payload(
-                record, file=request["file"],
-                want_verified=want_verified)
-            self.queue.finish(job, payload, cache="hit")
-            await self._notify()
-            return job, False
+        if lookup:
+            want_verified = request.get("verify_seed") is not None
+            try:
+                # The store is sqlite+disk: look up in an executor so
+                # the event loop never blocks on it.
+                loop = asyncio.get_running_loop()
+                record = await loop.run_in_executor(
+                    None, lambda: self.store.lookup(
+                        key, want_verified=want_verified))
+                if record is not None:
+                    payload = record_to_map_payload(
+                        record, file=request["file"],
+                        want_verified=want_verified)
+                    self.stats.store_hits += 1
+                    self.queue.finish(job, payload, cache="hit")
+            finally:
+                # Whatever happened, a held job leaves the hold: it
+                # either finished from the store or it runs.
+                if not job.terminal:
+                    self.queue.release(job)
         await self._notify()
         return job, False
 

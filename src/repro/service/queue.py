@@ -89,6 +89,9 @@ class Job:
     #: push) — what heap compaction rebuilds from, preserving FIFO
     #: order within a priority exactly.
     sort_seq: int = 0
+    #: Admitted (duplicates coalesce into it) but not yet on the
+    #: heap: the daemon is still looking for its result in the store.
+    held: bool = False
 
     def add_event(self, event: str, **detail) -> dict:
         entry = {"seq": len(self.events), "event": event,
@@ -222,12 +225,15 @@ class JobQueue:
     # -- admission ----------------------------------------------------
 
     def submit(self, request: dict, key: str,
-               coalesce_key: str) -> tuple[Job, bool]:
+               coalesce_key: str, *,
+               hold: bool = False) -> tuple[Job, bool]:
         """Admit one normalised request.
 
         Returns ``(job, coalesced)``; *coalesced* is True when the
         submission was folded into an in-flight job instead of
-        creating one.
+        creating one.  A new job admitted with *hold* is in flight
+        but not dispatchable until :meth:`release` (or until it
+        finishes without running).
         """
         existing = self._inflight.get(coalesce_key)
         if existing is not None:
@@ -240,7 +246,7 @@ class JobQueue:
                 # (pop() skips the stale lower-priority entry).
                 existing.priority = priority
                 if existing.state == QUEUED and \
-                        not existing.dispatched:
+                        not existing.dispatched and not existing.held:
                     existing.sort_seq = next(self._sequence)
                     heapq.heappush(
                         self._heap,
@@ -262,12 +268,20 @@ class JobQueue:
         job.add_event("queued", priority=job.priority)
         self.jobs[job.id] = job
         self._inflight[coalesce_key] = job
+        if hold:
+            job.held = True
+        else:
+            self.release(job)
+        self._notify("queued", job)
+        return job, False
+
+    def release(self, job: Job) -> None:
+        """Make a held job dispatchable at its current priority."""
+        job.held = False
         job.sort_seq = next(self._sequence)
         heapq.heappush(self._heap,
                        (-job.priority, job.sort_seq, job.id))
         self._queued += 1
-        self._notify("queued", job)
-        return job, False
 
     # -- dispatch -----------------------------------------------------
 
@@ -308,7 +322,8 @@ class JobQueue:
             return
         self._heap = [(-job.priority, job.sort_seq, job.id)
                       for job in self._inflight.values()
-                      if job.state == QUEUED and not job.dispatched]
+                      if job.state == QUEUED and not job.dispatched
+                      and not job.held]
         heapq.heapify(self._heap)
         self.compactions += 1
 
@@ -359,7 +374,8 @@ class JobQueue:
         """Keep the queued counter exact when a job goes terminal
         straight from the queue (a store hit finishes it before any
         pop); its heap entry goes stale, so consider compacting."""
-        if job.state == QUEUED and not job.dispatched:
+        if job.state == QUEUED and not job.dispatched \
+                and not job.held:
             self._queued -= 1
             self._maybe_compact()
 

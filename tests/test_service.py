@@ -15,6 +15,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 import time
 from pathlib import Path
 
@@ -126,6 +127,63 @@ def test_duplicate_submissions_share_one_backend_run(client):
     assert stats["computed"] == 1
     assert stats["submits"] == n_clients
     assert stats["coalesced"] + stats["store_hits"] == n_clients - 1
+
+
+def test_duplicate_finishing_during_the_store_lookup_still_coalesces(
+        tmp_path, monkeypatch):
+    """The interleaving behind a double backend run, forced: the
+    first job's backend waits until the duplicate has entered the
+    daemon, and a store lookup made for the duplicate answers from a
+    read taken before the first job finished, only after it finished.
+    The duplicate must join the first job, not run a second one."""
+    from repro.service import daemon as daemon_module
+
+    duplicate_entered = threading.Event()
+    submissions = []
+    normalise = daemon_module.normalise_request
+    run_map_job = daemon_module.run_map_job
+
+    def counting_normalise(raw):
+        submissions.append(raw)
+        if len(submissions) == 2:
+            duplicate_entered.set()
+        return normalise(raw)
+
+    def gated_run_map_job(request, frontend=None):
+        assert duplicate_entered.wait(30)
+        return run_map_job(request, frontend)
+
+    monkeypatch.setattr(daemon_module, "normalise_request",
+                        counting_normalise)
+    monkeypatch.setattr(daemon_module, "run_map_job", gated_run_map_job)
+    with ServiceThread(store=tmp_path / "store", workers=2) as thread:
+        service = thread.service
+        lookup = service.store.lookup
+        lookups = []
+        first_job = {}
+
+        def stale_lookup(key, **kwargs):
+            lookups.append(key)
+            record = lookup(key, **kwargs)
+            if len(lookups) > 1:
+                deadline = time.monotonic() + 30
+                while not service.queue.get(first_job["id"]).terminal:
+                    assert time.monotonic() < deadline
+                    time.sleep(0.005)
+            return record
+
+        service.store.lookup = stale_lookup
+        client = ServiceClient(*thread.address)
+        request = {"kind": "map", "source": FIR_SOURCE}
+        first = client.submit(request)["job"]
+        first_job["id"] = first["id"]
+        second = client.submit(request)["job"]
+        payloads = [client.result(job["id"]) for job in (first, second)]
+        stats = client.stats()["service"]
+    assert _canon(payloads[0]) == _canon(payloads[1])
+    assert stats["computed"] == 1
+    assert stats["coalesced"] == 1
+    assert second["id"] == first["id"]
 
 
 # -- acceptance: warm resubmits skip the frontend -------------------------

@@ -66,6 +66,33 @@ def test_lifecycle_states_and_events():
         == ["queued", "running", "done"]
 
 
+def test_held_jobs_coalesce_but_wait_for_release():
+    queue = JobQueue()
+    request = {"kind": "map", "priority": 0}
+    held, __ = queue.submit(request, key="k", coalesce_key="k",
+                            hold=True)
+    assert held.state == QUEUED and queue.depth == 0
+    assert queue.pop() is None
+    again, coalesced = queue.submit({**request, "priority": 3},
+                                    key="k", coalesce_key="k")
+    assert coalesced and again is held and held.priority == 3
+    queue.release(held)
+    assert queue.depth == 1
+    assert queue.pop() is held
+    assert queue.pop() is None
+
+
+def test_held_job_finished_from_the_store_keeps_depth_exact():
+    queue = JobQueue()
+    held, __ = queue.submit({"kind": "map"}, key="k", coalesce_key="k",
+                            hold=True)
+    other, __ = _submit(queue, "other")
+    queue.finish(held, {"answer": 1})
+    assert queue.depth == 1
+    assert queue.pop() is other
+    assert queue.stats()["inflight"] == 1
+
+
 def test_failed_jobs_leave_inflight_and_carry_the_error():
     queue = JobQueue()
     job, __ = _submit(queue, "k")
