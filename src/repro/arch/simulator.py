@@ -18,9 +18,6 @@ computes for the original program.
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass, field
-
 from repro.arch.control import (
     AluConfig,
     Cycle,
@@ -51,14 +48,6 @@ def op_arity(kind: OpKind) -> int:
 _wrap = wrap_value
 
 
-@dataclass
-class SimulationTrace:
-    """Optional per-cycle observations collected during a run."""
-
-    alu_results: list[dict[int, int]] = field(default_factory=list)
-    bus_usage: list[int] = field(default_factory=list)
-
-
 class TileSimulator:
     """Executes tile programs cycle by cycle."""
 
@@ -70,7 +59,6 @@ class TileSimulator:
         self.check_limits = check_limits
         self.registers: dict[RegLoc, int] = {}
         self.memories: dict[tuple[int, int], dict[Address, int]] = {}
-        self.trace = SimulationTrace()
         self._load_memories(initial_state or StateSpace())
 
     # -- setup ---------------------------------------------------------
@@ -141,8 +129,6 @@ class TileSimulator:
         for move, value in zip(cycle.moves, move_values):
             writes.append((move.dest, value))
         self._commit(index, writes)
-        self.trace.alu_results.append(alu_results)
-        self.trace.bus_usage.append(len(cycle.bus_sources()))
 
     def _execute_alu(self, index: int, config: AluConfig) -> int:
         values = []
@@ -227,46 +213,55 @@ class TileSimulator:
         raise SimulationError(f"cycle {index}: bad source {source!r}")
 
     def _check_resources(self, index: int, cycle: Cycle) -> None:
+        """Enforce the per-cycle limits: one pass over the moves'
+        sources, one over all destinations.  The first violation is
+        reported, checked in this order: buses, memory read ports, a
+        location written twice, bank write ports, memory write
+        ports."""
         params = self.params
-        buses = cycle.bus_sources()
-        if len(buses) > params.n_buses:
-            raise SimulationError(
-                f"cycle {index}: {len(buses)} crossbar values exceed "
-                f"{params.n_buses} buses")
-        mem_reads: Counter = Counter()
+        # A bus carries one distinct value: a move source, or the
+        # result of an ALU (each PP is configured once) that has dests.
+        sources: set = set()
+        mem_reads: dict[tuple[int, int], int] = {}
         for move in cycle.moves:
-            if isinstance(move.source, MemLoc):
-                mem_reads[(move.source.pp, move.source.mem,
-                           move.source.addr)] = 1
-        per_mem_reads: Counter = Counter()
-        for (pp, mem, __), __count in mem_reads.items():
-            per_mem_reads[(pp, mem)] += 1
-        for (pp, mem), count in per_mem_reads.items():
+            source = move.source
+            if source not in sources:
+                sources.add(source)
+                if isinstance(source, MemLoc):
+                    memory = (source.pp, source.mem)
+                    mem_reads[memory] = mem_reads.get(memory, 0) + 1
+        buses = len(sources) + sum(1 for config in cycle.alu_configs
+                                   if config.dests)
+        if buses > params.n_buses:
+            raise SimulationError(
+                f"cycle {index}: {buses} crossbar values exceed "
+                f"{params.n_buses} buses")
+        for (pp, mem), count in mem_reads.items():
             if count > params.mem_read_ports:
                 raise SimulationError(
                     f"cycle {index}: PP{pp}.MEM{mem + 1} serves {count} "
                     f"reads, has {params.mem_read_ports} port(s)")
-        mem_writes: Counter = Counter()
-        bank_writes: Counter = Counter()
-        reg_dest_seen: set[RegLoc] = set()
-        mem_dest_seen: set[MemLoc] = set()
+        written: set = set()
+        bank_writes: dict[tuple[int, int], int] = {}
+        mem_writes: dict[tuple[int, int], int] = {}
         dests = [dest for config in cycle.alu_configs
                  for dest in config.dests]
         dests.extend(move.dest for move in cycle.moves)
         for dest in dests:
             if isinstance(dest, RegLoc):
-                if dest in reg_dest_seen:
+                if dest in written:
                     raise SimulationError(
                         f"cycle {index}: register {dest} written twice")
-                reg_dest_seen.add(dest)
-                bank_writes[(dest.pp, dest.bank)] += 1
+                bank = (dest.pp, dest.bank)
+                bank_writes[bank] = bank_writes.get(bank, 0) + 1
             else:
-                if dest in mem_dest_seen:
+                if dest in written:
                     raise SimulationError(
                         f"cycle {index}: memory word {dest} written "
                         f"twice")
-                mem_dest_seen.add(dest)
-                mem_writes[(dest.pp, dest.mem)] += 1
+                memory = (dest.pp, dest.mem)
+                mem_writes[memory] = mem_writes.get(memory, 0) + 1
+            written.add(dest)
         for (pp, bank), count in bank_writes.items():
             if count > params.bank_write_ports:
                 raise SimulationError(

@@ -164,7 +164,8 @@ class TaskGraph:
         while ready:
             task_id = heapq.heappop(ready)
             order.append(self.tasks[task_id])
-            for consumer in set(consumers[task_id]):
+            # a consumer reading this result twice counted it once
+            for consumer in dict.fromkeys(consumers[task_id]):
                 indegree[consumer] -= 1
                 if indegree[consumer] == 0:
                     heapq.heappush(ready, consumer)

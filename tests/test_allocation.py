@@ -8,8 +8,13 @@ from repro.arch.simulator import simulate
 from repro.arch.templates import TemplateLibrary
 from repro.cdfg.ops import Address
 from repro.cdfg.statespace import StateSpace
+from repro.core import allocation
+from repro.core.allocation import AllocationError
 from repro.core.pipeline import map_source, verify_mapping
+from repro.obs import trace
 from repro.baselines.naive_alloc import map_source_naive
+
+from repro.eval import kernels
 
 from tests.conftest import FIR_SOURCE
 
@@ -161,6 +166,114 @@ class TestJournalBacktracking:
         second = map_source(FIR_SOURCE, params)
         assert first.program.listing() == second.program.listing()
         assert vars(first.alloc_stats) == vars(second.alloc_stats)
+
+    def test_retries_are_counted_only_while_tracing(self):
+        """Each rolled-back attempt counts its cause and the journal
+        entries it undid, and changes nothing the allocator emits."""
+        params = TileParams(**self.PRESSURE)
+        was_enabled = trace.enabled()
+        trace.disable()
+        trace.reset()
+        try:
+            plain = map_source(FIR_SOURCE, params)
+            assert not trace.snapshot()["counters"]
+            trace.enable()
+            traced = map_source(FIR_SOURCE, params)
+            counters = trace.snapshot()["counters"]
+        finally:
+            if not was_enabled:
+                trace.disable()
+            trace.reset()
+        assert traced.program.listing() == plain.program.listing()
+        assert vars(traced.alloc_stats) == vars(plain.alloc_stats)
+        retries = {cause: counters.get(f"allocation.retries.{cause}", 0)
+                   for cause in ("stage", "store")}
+        assert retries["stage"] > 0
+        assert sum(retries.values()) == plain.alloc_stats.stall_cycles
+        assert counters["allocation.retries.undone"] >= \
+            plain.alloc_stats.stall_cycles
+
+    def test_store_retries_are_counted_apart_from_staging(self):
+        """With every memory word taken by inputs, each attempt fails
+        storing a result until the stall limit gives up."""
+        was_enabled = trace.enabled()
+        trace.enable()
+        trace.reset()
+        try:
+            with pytest.raises(AllocationError,
+                               match="within 65 inserted cycles"):
+                map_source(FIR_SOURCE, TileParams(memory_words=1))
+            counters = trace.snapshot()["counters"]
+        finally:
+            if not was_enabled:
+                trace.disable()
+            trace.reset()
+        assert counters["allocation.retries.store"] > 0
+        assert counters["allocation.retries.store"] + \
+            counters.get("allocation.retries.stage", 0) == 65
+
+    @staticmethod
+    def planning_state(allocator) -> dict:
+        """Everything a level attempt may change, as plain values (a
+        memory's port set left empty counts as absent)."""
+        return {
+            "cycles": [(
+                draft.is_stall,
+                sorted((pp, config.label, tuple(config.dests))
+                       for pp, config in draft.alu_configs.items()),
+                tuple(draft.moves), sorted(draft.bus),
+                {memory: sorted(tokens) for memory, tokens
+                 in draft.mem_reads.items() if tokens},
+                {memory: sorted(map(str, words)) for memory, words
+                 in draft.mem_writes.items() if words},
+                dict(draft.bank_writes)) for draft in allocator.cycles],
+            "banks": [list(slots) for slots in allocator.banks],
+            "mem_words": [sorted(map(str, words))
+                          for words in allocator.mem_words],
+            "where": list(allocator._where),
+            "exec_cycles": dict(allocator.cluster_exec_cycle),
+            "outputs": dict(allocator.output_layout),
+            "stats": dict(vars(allocator.stats)),
+        }
+
+    @pytest.mark.parametrize("source, params, options", [
+        (FIR_SOURCE, PRESSURE, {}),
+        (FIR_SOURCE, dict(n_buses=2, regs_per_bank=2),
+         {"stage_window": 1}),
+        (kernels.fir_source(22), dict(n_pps=3, n_buses=4), {}),
+        (kernels.convolution_source(9, 3),
+         dict(n_pps=2, n_buses=2, mem_read_ports=2), {}),
+        (kernels.iir_biquad_source(7), dict(n_pps=4, n_buses=4),
+         {"enable_reuse": False}),
+    ])
+    def test_rollback_restores_the_state_the_attempt_found(
+            self, monkeypatch, source, params, options):
+        """After a failed attempt, the next one starts from exactly
+        the state the failed one found, plus one stall cycle."""
+        found = []
+        compared = []
+        plan_level = allocation.Allocator._plan_level
+        snapshot = self.planning_state
+
+        def checked_plan_level(allocator, plans, window):
+            state = snapshot(allocator)
+            if found and found[-1][0] is plans:
+                expected = found.pop()[1]
+                assert state["cycles"][-1][0]  # the inserted stall
+                expected["cycles"].append(state["cycles"][-1])
+                expected["stats"]["stall_cycles"] += 1
+                assert state == expected
+                compared.append(plans)
+            try:
+                plan_level(allocator, plans, window)
+            except allocation._LevelRetry:
+                found.append((plans, state))
+                raise
+
+        monkeypatch.setattr(allocation.Allocator, "_plan_level",
+                            checked_plan_level)
+        report = map_source(source, TileParams(**params), **options)
+        assert report.alloc_stats.stall_cycles == len(compared) > 0
 
     def test_rollback_leaves_no_claimed_registers(self):
         """After allocation, every register value the program relies

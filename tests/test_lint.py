@@ -120,6 +120,17 @@ def test_findings_are_sorted_and_stable(bad_run):
     assert again.findings == bad_run.findings
 
 
+@pytest.mark.parametrize("package, flagged", [
+    ("core", True), ("arch", True), ("dse", True), ("service", False)])
+def test_set_iteration_is_flagged_in_the_mapping_core(tmp_path, package,
+                                                      flagged):
+    run = _lint_snippet(tmp_path, """
+        def order(values):
+            return [value for value in set(values)]
+    """, rel=f"src/repro/{package}/mod.py", select={"FPL001"})
+    assert bool(run.findings) is flagged
+
+
 def test_path_scoped_rules_need_the_logical_root():
     # Without the root remap the fixture files sit under tests/…,
     # so mapping-core/wire/stdout scoping does not apply.

@@ -174,8 +174,29 @@ class TestResourceChecks:
         moves = [Move(ImmSource(i), RegLoc(0, 0, i)) for i in range(3)]
         program = make_program(params=params,
                                cycles=[Cycle(moves=moves)])
-        with pytest.raises(SimulationError):
+        with pytest.raises(SimulationError,
+                           match=r"^cycle 0: 3 crossbar values exceed "
+                                 r"2 buses$"):
             simulate(program)
+
+    def test_bus_limit_counts_alu_results_and_shared_sources(self):
+        """One bus per distinct value: a source moved to two registers
+        takes one bus, an ALU result with destinations takes one."""
+        params = TileParams(n_buses=2)
+        setup = Cycle(moves=[Move(ImmSource(1), RegLoc(0, 0, 0))])
+        alu = AluConfig(pp=0, shape=ClusterShape.SINGLE,
+                        ops=(OpKind.NEG,), operands=[RegLoc(0, 0, 0)],
+                        dests=[mem(0, 0, "r")])
+        shared = [Move(ImmSource(7), RegLoc(1, 0, 0)),
+                  Move(ImmSource(7), RegLoc(1, 1, 0))]
+        simulate(make_program(params=params, cycles=[
+            setup, Cycle(alu_configs=[alu], moves=shared)]))
+        with pytest.raises(SimulationError,
+                           match=r"^cycle 1: 3 crossbar values exceed "
+                                 r"2 buses$"):
+            simulate(make_program(params=params, cycles=[
+                setup, Cycle(alu_configs=[alu], moves=shared + [
+                    Move(ImmSource(8), RegLoc(1, 2, 0))])]))
 
     def test_bus_limit_can_be_disabled(self):
         params = TileParams(n_buses=2)
@@ -190,7 +211,9 @@ class TestResourceChecks:
             cycles=[Cycle(moves=[Move(mem(0, 0, "a"), RegLoc(0, 0, 0)),
                                  Move(mem(0, 0, "b"), RegLoc(0, 1, 0))])],
             data=data)
-        with pytest.raises(SimulationError):
+        with pytest.raises(SimulationError,
+                           match=r"^cycle 0: PP0\.MEM1 serves 2 reads, "
+                                 r"has 1 port\(s\)$"):
             simulate(program, StateSpace({"a": 1, "b": 2}))
 
     def test_same_word_two_moves_share_port(self):
@@ -205,29 +228,78 @@ class TestResourceChecks:
         program = make_program(
             cycles=[Cycle(moves=[Move(ImmSource(1), RegLoc(0, 0, 0)),
                                  Move(ImmSource(2), RegLoc(0, 0, 1))])])
-        with pytest.raises(SimulationError):
+        with pytest.raises(SimulationError,
+                           match=r"^cycle 0: PP0 bank 0 takes 2 writes, "
+                                 r"has 1 port\(s\)$"):
             simulate(program)
 
     def test_register_double_write_conflict(self):
         program = make_program(
             cycles=[Cycle(moves=[Move(ImmSource(1), RegLoc(0, 0, 0)),
                                  Move(ImmSource(2), RegLoc(0, 0, 0))])])
-        with pytest.raises(SimulationError):
+        with pytest.raises(SimulationError,
+                           match=r"^cycle 0: register PP0\.Ra\[0\] "
+                                 r"written twice$"):
+            simulate(program)
+
+    def test_memory_word_double_write_conflict(self):
+        params = TileParams(mem_write_ports=2)
+        program = make_program(params=params, cycles=[
+            Cycle(moves=[Move(ImmSource(1), mem(0, 1, "x")),
+                         Move(ImmSource(2), mem(0, 1, "x"))])])
+        with pytest.raises(SimulationError,
+                           match=r"^cycle 0: memory word PP0\.MEM2\[x\] "
+                                 r"written twice$"):
+            simulate(program)
+
+    def test_alu_result_and_move_to_one_register_conflict(self):
+        program = make_program(cycles=[
+            Cycle(moves=[Move(ImmSource(1), RegLoc(0, 0, 0))]),
+            Cycle(alu_configs=[AluConfig(
+                pp=0, shape=ClusterShape.SINGLE, ops=(OpKind.NEG,),
+                operands=[RegLoc(0, 0, 0)], dests=[RegLoc(1, 0, 0)])],
+                moves=[Move(ImmSource(2), RegLoc(1, 0, 0))])])
+        with pytest.raises(SimulationError,
+                           match=r"^cycle 1: register PP1\.Ra\[0\] "
+                                 r"written twice$"):
             simulate(program)
 
     def test_memory_write_port_limit(self):
         program = make_program(
             cycles=[Cycle(moves=[Move(ImmSource(1), mem(0, 0, "x")),
                                  Move(ImmSource(2), mem(0, 0, "y"))])])
-        with pytest.raises(SimulationError):
+        with pytest.raises(SimulationError,
+                           match=r"^cycle 0: PP0\.MEM1 takes 2 writes, "
+                                 r"has 1 port\(s\)$"):
             simulate(program)
 
     def test_memory_capacity_enforced(self):
         params = TileParams(memory_words=2)
         data = {Address("w", i): mem(0, 0, "w", i) for i in range(3)}
         program = make_program(params=params, cycles=[], data=data)
-        with pytest.raises(SimulationError):
+        with pytest.raises(SimulationError,
+                           match=r"^PP0\.MEM1 holds 3 words, "
+                                 r"capacity 2$"):
             TileSimulator(program, StateSpace())
+
+    def test_memory_overflow_during_run_enforced(self):
+        params = TileParams(memory_words=1)
+        data = {Address("w"): mem(0, 0, "w")}
+        program = make_program(params=params, data=data, cycles=[
+            Cycle(moves=[Move(ImmSource(1), mem(0, 0, "v"))])])
+        with pytest.raises(SimulationError,
+                           match=r"^cycle 0: PP0\.MEM1\[v\] overflows "
+                                 r"1-word memory$"):
+            simulate(program, StateSpace({"w": 5}))
+
+    def test_first_violation_in_check_order_is_reported(self):
+        """Buses are checked before ports and double writes."""
+        params = TileParams(n_buses=1)
+        program = make_program(params=params, cycles=[Cycle(moves=[
+            Move(ImmSource(1), RegLoc(0, 0, 0)),
+            Move(ImmSource(2), RegLoc(0, 0, 0))])])
+        with pytest.raises(SimulationError, match="crossbar values"):
+            simulate(program)
 
     def test_foreign_register_read_rejected(self):
         program = make_program(

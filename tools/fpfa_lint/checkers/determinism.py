@@ -13,7 +13,8 @@ local runs byte for byte).  Three rule families guard it:
 * **Randomness**: the module-level ``random.*`` functions draw from
   a process-global unseeded generator; all randomness must flow
   through a seeded ``random.Random(seed)``.
-* **Ordering** (``dse/``, ``cdfg/``, ``multitile/`` only): iterating
+* **Ordering** (``dse/``, ``cdfg/``, ``multitile/``, ``core/``,
+  ``arch/`` only): iterating
   a ``set`` literal/call, or an ``os.listdir``/``glob``/``iterdir``
   scan without ``sorted(...)``, feeds hash/filesystem order into
   code whose output is hashed or compared across runs.
@@ -57,7 +58,8 @@ UNORDERED_SCAN_METHODS = frozenset({"glob", "iterdir", "rglob"})
 #: Subtrees where the ordering rules apply: the mapping core, whose
 #: outputs are hashed, cached and compared bit-for-bit across runs.
 ORDER_SCOPED = ("src/repro/dse/", "src/repro/cdfg/",
-                "src/repro/multitile/")
+                "src/repro/multitile/", "src/repro/core/",
+                "src/repro/arch/")
 
 
 @register
