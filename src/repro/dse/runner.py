@@ -103,12 +103,11 @@ def evaluate_point(source: str, point: DesignPoint,
     record is produced: its memo serves the task graph, clustering,
     schedule and verification reference every point of it shares.
 
-    *sink*, when given, receives side artifacts that must never leak
-    into the record (the record format is the cache's on-disk
-    contract): ``sink["report"]`` is the full :class:`MappingReport`
-    and ``sink["timings"]`` its per-stage wall times.  The service
-    uses this for its per-job profile without forking the record
-    producer.
+    *sink*, when given, receives the per-stage wall times as
+    ``sink["timings"]``, a side artifact that must never leak into
+    the record (the record format is the cache's on-disk contract).
+    The service uses this for its per-job profile without forking
+    the record producer.
     """
     record = {"point": point.to_dict(), "config": point.assignment()}
     with trace.span("dse.point"):
@@ -120,7 +119,6 @@ def evaluate_point(source: str, point: DesignPoint,
             report = map_frontend(frontend, params, library,
                                   array=point.tile_array_params())
             if sink is not None:
-                sink["report"] = report
                 sink["timings"] = dict(report.timings)
             if verify_seed is not None:
                 state, expected = frontend.verification_reference(

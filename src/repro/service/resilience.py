@@ -28,8 +28,8 @@ Counters live in a module-level :class:`MetricsRegistry` (rendered by
 :func:`render_metrics` in the same Prometheus text format the daemon
 serves on ``/metrics``) because retries, breaker trips and probation
 happen on the *coordinator* side — there is no daemon registry to
-carry them.  ``tools/chaos_smoke.py`` and the chaos battery assert
-recovery through these counters.
+carry them.  ``tools/scenarios.py fleet`` / ``chaos`` and the chaos
+battery assert recovery through these counters.
 """
 
 from __future__ import annotations

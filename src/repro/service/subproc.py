@@ -33,14 +33,12 @@ class DaemonProcess:
 
     def __init__(self, store, *, workers: int = 2,
                  worker_mode: str = "thread", port: int = 0,
-                 store_max_entries: int | None = None,
-                 store_max_bytes: int | None = None):
+                 store_max_entries: int | None = None):
         self.store = pathlib.Path(store)
         self.workers = workers
         self.worker_mode = worker_mode
         self.port = port
         self.store_max_entries = store_max_entries
-        self.store_max_bytes = store_max_bytes
         self.process: subprocess.Popen | None = None
         self.address: tuple[str, int] | None = None
 
@@ -63,8 +61,6 @@ class DaemonProcess:
         if self.store_max_entries is not None:
             argv += ["--store-max-entries",
                      str(self.store_max_entries)]
-        if self.store_max_bytes is not None:
-            argv += ["--store-max-bytes", str(self.store_max_bytes)]
         self.process = subprocess.Popen(
             argv, stdout=subprocess.PIPE, text=True, env=env)
         line = self.process.stdout.readline()

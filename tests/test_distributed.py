@@ -3,8 +3,8 @@ and the service's sweep-chunk job kind end to end.
 
 The in-process :class:`ServiceThread` daemons used here change
 latency, never results — the acceptance-shaped check against *real*
-daemon subprocesses (including a mid-sweep kill) lives in
-``tools/distributed_smoke.py`` (the CI ``distributed`` job).
+daemon subprocesses (including a mid-sweep kill) is
+``tools/scenarios.py fleet`` (the CI ``scenarios`` job).
 """
 
 import json

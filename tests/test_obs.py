@@ -4,7 +4,7 @@ Four rings, inside out:
 
 * the tracer and metrics primitives in isolation;
 * the daemon's ``GET /metrics`` exposition (validated with the same
-  strict parser the CI smoke job uses) and the uptime fields on
+  strict parser ``tools/scenarios.py obs`` uses) and the uptime fields on
   ``/stats``;
 * the NDJSON job event stream contract (ordering, terminal replay,
   mid-stream disconnect);

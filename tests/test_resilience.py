@@ -7,8 +7,8 @@ readmission of a restarted daemon, work stealing from a
 slow-but-alive daemon, and the checkpoint journal behind
 ``explore --resume``.  Everything is seeded — a failure here is a
 reproducer, not weather.  The full-size end-to-end storm (real
-subprocess daemons, SIGKILL, coordinator kill + ``--resume``) lives
-in ``tools/chaos_smoke.py`` (the CI ``chaos`` job).
+subprocess daemons, SIGKILL, coordinator kill + ``--resume``) is
+``tools/scenarios.py fleet chaos`` (the CI ``scenarios`` job).
 """
 
 import json
